@@ -3,9 +3,29 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 namespace teeperf::analyzer {
+
+namespace {
+
+// The entry region at `entry_base` (`count` entries) as typed storage: in
+// place when aligned, otherwise copied once into `d->owned`.
+const LogEntry* typed_entries(const char* entry_base, u64 count,
+                              ParsedDump* d) {
+  if (reinterpret_cast<uintptr_t>(entry_base) % alignof(LogEntry) == 0) {
+    return reinterpret_cast<const LogEntry*>(entry_base);
+  }
+  d->owned.resize(static_cast<usize>(count));
+  if (count > 0) {
+    std::memcpy(static_cast<void*>(d->owned.data()), entry_base,
+                static_cast<usize>(count) * sizeof(LogEntry));
+  }
+  return d->owned.data();
+}
+
+}  // namespace
 
 std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   if (bytes.size() < sizeof(LogHeader)) return std::nullopt;
@@ -28,13 +48,10 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
     u64 available = (bytes.size() - sizeof(LogHeader)) / sizeof(LogEntry);
     u64 tail = h->tail.load(std::memory_order_relaxed);
     u64 n = std::min({available, tail, h->max_entries});
-    d.shards.emplace_back();
+    const LogEntry* e =
+        typed_entries(bytes.data() + sizeof(LogHeader), n, &d);
+    d.shards.emplace_back(e, static_cast<usize>(n));
     d.starts.push_back(0);
-    d.shards[0].resize(static_cast<usize>(n));
-    if (n > 0) {
-      std::memcpy(d.shards[0].data(), bytes.data() + sizeof(LogHeader),
-                  static_cast<usize>(n) * sizeof(LogEntry));
-    }
     return d;
   }
 
@@ -51,9 +68,10 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   std::memcpy(static_cast<void*>(dir.data()), bytes.data() + sizeof(LogHeader),
               dir_bytes);
 
-  const char* entry_base = bytes.data() + sizeof(LogHeader) + dir_bytes;
   u64 available = (bytes.size() - sizeof(LogHeader) - dir_bytes) / sizeof(LogEntry);
-  u64 budget = available;  // total entries any directory may make us copy
+  const LogEntry* entries =
+      typed_entries(bytes.data() + sizeof(LogHeader) + dir_bytes, available, &d);
+  u64 budget = available;  // total entries all windows together may span
   d.shards.resize(nshards);
   d.starts.resize(nshards, 0);
   for (u32 s = 0; s < nshards; ++s) {
@@ -64,11 +82,7 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
     // Subtraction form: off + capacity could wrap u64.
     n = std::min({n, dir[s].capacity, available - off, budget});
     budget -= n;
-    d.shards[s].resize(static_cast<usize>(n));
-    if (n > 0) {
-      std::memcpy(d.shards[s].data(), entry_base + off * sizeof(LogEntry),
-                  static_cast<usize>(n) * sizeof(LogEntry));
-    }
+    d.shards[s] = std::span<const LogEntry>(entries + off, static_cast<usize>(n));
   }
   return d;
 }
@@ -77,7 +91,7 @@ bool SpillStitcher::absorb(const ParsedDump& dump, const WindowFn& fn) {
   if (cursors_.empty()) cursors_.assign(dump.shards.size(), 0);
   if (dump.shards.size() != cursors_.size()) return false;
   for (usize s = 0; s < cursors_.size(); ++s) {
-    const std::vector<LogEntry>& win = dump.shards[s];
+    std::span<const LogEntry> win = dump.shards[s];
     u64 start = dump.starts[s];
     u64 skip = 0;
     if (start < cursors_[s]) {

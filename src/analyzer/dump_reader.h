@@ -1,5 +1,6 @@
 // Shared dump-parsing layer for the in-memory loader (profile.cc) and the
-// streaming analyzer (stream.cc).
+// streaming analyzer (stream.cc). Parsing copies no entries: windows view
+// the caller's bytes (normally a mapped file, see map_file).
 //
 // A serialized compact dump — a recorder dump, a spill chunk payload, or a
 // spill residue — parses into one window of entries per shard plus the
@@ -11,6 +12,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -19,15 +21,24 @@
 
 namespace teeperf::analyzer {
 
-// A serialized dump copied into properly typed, aligned storage. The raw
-// byte buffer guarantees neither alignment nor sanity — reading LogHeader's
-// atomics in place would be undefined, and every header field is attacker-
-// controlled once dumps come from a hostile host.
+// A serialized dump viewed as typed windows. The header and directory are
+// copied out — reading LogHeader's atomics in place would be undefined, and
+// every header field is attacker-controlled once dumps come from a hostile
+// host — but the entries are not: each window is a span into the caller's
+// bytes, which must outlive this dump. Only when those bytes are not 8-byte
+// aligned does the parser make one owned, aligned copy of the entry region
+// for the windows to view instead. Move-only, so the windows never dangle.
 struct ParsedDump {
+  ParsedDump() = default;
+  ParsedDump(ParsedDump&&) = default;
+  ParsedDump& operator=(ParsedDump&&) = default;
+  ParsedDump(const ParsedDump&) = delete;
+  ParsedDump& operator=(const ParsedDump&) = delete;
+
   // One window of entries per shard: v1 dumps parse into a single window,
   // v2 into one per directory entry (possibly empty). A thread's entries
   // live entirely inside one window.
-  std::vector<std::vector<LogEntry>> shards;
+  std::vector<std::span<const LogEntry>> shards;
   // Per-window absolute start cursor, parallel to `shards`: the serialized
   // directory's `drained` field. 0 for v1 dumps and for v2 logs that never
   // drained or wrapped; spill chunks and spill residue dumps record where
@@ -35,28 +46,19 @@ struct ParsedDump {
   // multi-chunk loader stitch and deduplicate.
   std::vector<u64> starts;
   double ns_per_tick = 0.0;
+  // The aligned copy behind `shards` for a misaligned input; else empty.
+  // (A moved vector keeps its buffer, so moving the dump keeps the views.)
+  std::vector<LogEntry> owned;
 
   bool single() const { return shards.size() <= 1; }
-  u64 total() const {
-    u64 n = 0;
-    for (const auto& s : shards) n += s.size();
-    return n;
-  }
-  // Concatenated windows, for consumers that want one flat span (validate).
-  // Per-thread order is preserved: a thread never spans two windows.
-  std::vector<LogEntry> flatten() const {
-    std::vector<LogEntry> out;
-    out.reserve(static_cast<usize>(total()));
-    for (const auto& s : shards) out.insert(out.end(), s.begin(), s.end());
-    return out;
-  }
 };
 
 // Parses one serialized dump. Never trusts the bytes: the header is copied
 // out (no alignment or atomic assumptions on the buffer), every window is
 // independently clamped to what the buffer actually holds, and the sum of
 // all windows is budgeted so a hostile directory cannot multiply a small
-// file into gigabytes. nullopt on a bad magic/version or sub-header buffer.
+// file into gigabytes of windows. nullopt on a bad magic/version or
+// sub-header buffer.
 std::optional<ParsedDump> parse_dump(std::string_view bytes);
 
 // Stitches a sequence of parsed dumps (spill chunks in order, residue last)

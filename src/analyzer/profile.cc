@@ -20,7 +20,7 @@ std::optional<Profile> Profile::load_bytes(
   auto dump = parse_dump(log_bytes);
   if (!dump) return std::nullopt;
   if (dump->single()) {  // parse_dump always yields >= 1 window
-    const std::vector<LogEntry>& e = dump->shards[0];
+    std::span<const LogEntry> e = dump->shards[0];
     return build(e.data(), e.size(), std::move(symbols), dump->ns_per_tick);
   }
   return build_sharded(dump->shards, std::move(symbols), dump->ns_per_tick);
@@ -28,11 +28,11 @@ std::optional<Profile> Profile::load_bytes(
 
 std::optional<Profile> Profile::load(const std::string& prefix) {
   if (file_exists(drain::chunk_path(prefix, 0))) return load_spill(prefix);
-  auto raw = read_file(prefix + ".log");
+  auto raw = map_file(prefix + ".log");
   if (!raw) return std::nullopt;
   std::unordered_map<u64, std::string> symbols;
   if (auto sym = read_file(prefix + ".sym")) symbols = SymbolRegistry::parse(*sym);
-  return load_bytes(*raw, std::move(symbols));
+  return load_bytes(raw->bytes(), std::move(symbols));
 }
 
 std::optional<Profile> Profile::load_spill(const std::string& prefix) {
@@ -68,8 +68,8 @@ std::optional<Profile> Profile::load_spill(const std::string& prefix) {
 
   // The final residue dump — optional: a session killed before dump time
   // still analyzes from its chunks alone.
-  if (auto raw = read_file(prefix + ".log")) {
-    auto pd = parse_dump(*raw);
+  if (auto raw = map_file(prefix + ".log")) {
+    auto pd = parse_dump(raw->bytes());
     if (!pd || !absorb(*pd)) return std::nullopt;
   }
 
@@ -78,7 +78,9 @@ std::optional<Profile> Profile::load_spill(const std::string& prefix) {
     return build(streams[0].data(), streams[0].size(), std::move(symbols),
                  stitcher.ns_per_tick());
   }
-  return build_sharded(streams, std::move(symbols), stitcher.ns_per_tick());
+  return build_sharded(std::vector<std::span<const LogEntry>>(
+                           streams.begin(), streams.end()),
+                       std::move(symbols), stitcher.ns_per_tick());
 }
 
 Profile Profile::from_log(const ProfileLog& log,
@@ -93,7 +95,9 @@ Profile Profile::from_log(const ProfileLog& log,
       return build(shards[0].data(), shards[0].size(), std::move(symbols),
                    ns_per_tick);
     }
-    return build_sharded(shards, std::move(symbols), ns_per_tick);
+    return build_sharded(std::vector<std::span<const LogEntry>>(
+                             shards.begin(), shards.end()),
+                         std::move(symbols), ns_per_tick);
   }
   u64 tail = log.header()->tail.load(std::memory_order_acquire);
   if ((log.flags() & log_flags::kRingBuffer) && tail > log.capacity()) {
@@ -111,7 +115,7 @@ Profile Profile::from_entries(const LogEntry* entries, u64 n,
   return build(entries, n, std::move(symbols), ns_per_tick);
 }
 
-Profile Profile::build_sharded(const std::vector<std::vector<LogEntry>>& shards,
+Profile Profile::build_sharded(const std::vector<std::span<const LogEntry>>& shards,
                                std::unordered_map<u64, std::string> symbols,
                                double ns_per_tick) {
   // One reconstruction per shard, run by a small worker pool. Safe because
@@ -426,28 +430,34 @@ std::pair<std::string, u64> Profile::hottest_stack() const {
 }
 
 std::vector<ValidationIssue> Profile::validate(const ProfileLog& log) {
-  if (log.sharded()) {
-    // The raw v2 entry array has per-shard gaps; validate the canonical
-    // per-shard concatenation (per-thread order is what validate checks,
-    // and a thread never spans shards).
-    std::vector<LogEntry> ordered;
-    log.snapshot_ordered(&ordered);
-    return validate(ordered.data(), ordered.size());
-  }
-  return validate(&log.entry(0), log.size());
+  // The windows in order, viewed in place (the raw v2 entry array has
+  // per-shard gaps; per-thread order is what validate checks, and a thread
+  // never spans windows).
+  std::vector<std::span<const LogEntry>> spans;
+  log.for_each_window([&spans](u32, std::span<const LogEntry> first,
+                               std::span<const LogEntry> second) {
+    spans.push_back(first);
+    spans.push_back(second);
+  });
+  return validate_spans(spans);
 }
 
 std::optional<std::vector<ValidationIssue>> Profile::validate_file(
     const std::string& prefix) {
-  auto raw = read_file(prefix + ".log");
+  auto raw = map_file(prefix + ".log");
   if (!raw) return std::nullopt;
-  auto dump = parse_dump(*raw);
+  auto dump = parse_dump(raw->bytes());
   if (!dump) return std::nullopt;
-  std::vector<LogEntry> flat = dump->flatten();
-  return validate(flat.data(), flat.size());
+  return validate_spans(dump->shards);
 }
 
 std::vector<ValidationIssue> Profile::validate(const LogEntry* log_entries, u64 n) {
+  std::span<const LogEntry> all(log_entries, static_cast<usize>(n));
+  return validate_spans({&all, 1});
+}
+
+std::vector<ValidationIssue> Profile::validate_spans(
+    std::span<const std::span<const LogEntry>> spans) {
   std::vector<ValidationIssue> issues;
   struct ThreadCheck {
     u64 last_counter = 0;
@@ -456,23 +466,28 @@ std::vector<ValidationIssue> Profile::validate(const LogEntry* log_entries, u64 
   };
   std::map<u64, ThreadCheck> threads;
 
-  for (u64 i = 0; i < n; ++i) {
-    const LogEntry& e = log_entries[i];
-    ThreadCheck& t = threads[e.tid];
-    if (e.addr == 0) {
-      issues.push_back({ValidationIssue::Kind::kZeroAddress, e.tid, i,
-                        "entry has null address"});
+  u64 i = 0;  // index into the spans' concatenation
+  for (std::span<const LogEntry> span : spans) {
+    for (const LogEntry& e : span) {
+      ThreadCheck& t = threads[e.tid];
+      if (e.addr == 0) {
+        issues.push_back({ValidationIssue::Kind::kZeroAddress, e.tid, i,
+                          "entry has null address"});
+      }
+      if (t.has_counter && e.counter() < t.last_counter) {
+        issues.push_back(
+            {ValidationIssue::Kind::kNonMonotonicCounter, e.tid, i,
+             str_format("counter %llu after %llu",
+                        static_cast<unsigned long long>(e.counter()),
+                        static_cast<unsigned long long>(t.last_counter))});
+      }
+      t.last_counter = e.counter();
+      t.has_counter = true;
+      t.depth += e.kind() == EventKind::kCall ? 1 : -1;
+      ++i;
     }
-    if (t.has_counter && e.counter() < t.last_counter) {
-      issues.push_back({ValidationIssue::Kind::kNonMonotonicCounter, e.tid, i,
-                        str_format("counter %llu after %llu",
-                                   static_cast<unsigned long long>(e.counter()),
-                                   static_cast<unsigned long long>(t.last_counter))});
-    }
-    t.last_counter = e.counter();
-    t.has_counter = true;
-    t.depth += e.kind() == EventKind::kCall ? 1 : -1;
   }
+  u64 n = i;
   for (const auto& [tid, t] : threads) {
     if (t.depth != 0) {
       issues.push_back({ValidationIssue::Kind::kUnbalancedThread, tid, n,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -191,9 +192,13 @@ class Profile {
   // indices only — method ids and tids are shared across shards, unlike
   // load_many's cross-process rekeying — so the result is deterministic
   // regardless of worker scheduling.
-  static Profile build_sharded(const std::vector<std::vector<LogEntry>>& shards,
+  static Profile build_sharded(const std::vector<std::span<const LogEntry>>& shards,
                                std::unordered_map<u64, std::string> symbols,
                                double ns_per_tick);
+
+  // validate() over the concatenation of `spans`, without building it.
+  static std::vector<ValidationIssue> validate_spans(
+      std::span<const std::span<const LogEntry>> spans);
 
   std::vector<Invocation> invocations_;
   std::unordered_map<u64, std::string> symbols_;

@@ -248,8 +248,8 @@ std::optional<MergeableProfile> StreamAnalyzer::analyze_spill(
   }
 
   // The final residue dump — optional, as in Profile::load_spill.
-  if (auto raw = read_file(prefix + ".log")) {
-    auto pd = parse_dump(*raw);
+  if (auto raw = map_file(prefix + ".log")) {
+    auto pd = parse_dump(raw->bytes());
     if (!pd || !absorb(*pd)) {
       set_err(error, "bad residue dump");
       return std::nullopt;
@@ -269,14 +269,16 @@ std::optional<MergeableProfile> StreamAnalyzer::analyze(
   if (file_exists(drain::chunk_path(prefix, 0))) {
     return analyze_spill(prefix, error);
   }
-  auto raw = read_file(prefix + ".log");
+  // Mapped, not read: the windows are analyzed where the page cache holds
+  // them, and no entry is copied on the way in.
+  auto raw = map_file(prefix + ".log");
   if (!raw) {
     set_err(error, "cannot read log");
     return std::nullopt;
   }
   std::unordered_map<u64, std::string> symbols;
   if (auto sym = read_file(prefix + ".sym")) symbols = SymbolRegistry::parse(*sym);
-  auto pd = parse_dump(*raw);
+  auto pd = parse_dump(raw->bytes());
   if (!pd) {
     set_err(error, "unparseable dump");
     return std::nullopt;

@@ -69,6 +69,7 @@ void SoftwareCounter::start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (thread_.joinable()) return;  // already started; idempotent
   stop_.store(false, std::memory_order_release);
+  run_start_ns_.store(0, std::memory_order_relaxed);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { run(); });
 }
@@ -82,9 +83,22 @@ void SoftwareCounter::stop() {
   running_.store(false, std::memory_order_release);
 }
 
+std::optional<double> SoftwareCounter::ns_per_tick() const {
+  if (!running()) return std::nullopt;  // a stopped word measures nothing
+  u64 t0 = run_start_ns_.load(std::memory_order_acquire);
+  if (t0 == 0) return std::nullopt;
+  u64 c0 = run_start_value_.load(std::memory_order_relaxed);
+  u64 c1 = header_->counter.load(std::memory_order_relaxed);
+  u64 t1 = monotonic_ns();
+  if (c1 <= c0 || t1 <= t0) return std::nullopt;
+  return static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
+}
+
 void SoftwareCounter::run() {
   u64 t0 = monotonic_ns();
   u64 start_value = header_->counter.load(std::memory_order_relaxed);
+  run_start_value_.store(start_value, std::memory_order_relaxed);
+  run_start_ns_.store(t0, std::memory_order_release);
   u64 local = start_value;
   u64 since_yield = 0;
   // The paper's tight loop: one relaxed store per increment. The stop flag

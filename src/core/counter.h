@@ -70,6 +70,12 @@ class SoftwareCounter {
   // Measured increment rate (ticks/second) of the last run; 0 if never run.
   double ticks_per_second() const { return ticks_per_second_; }
 
+  // Nanoseconds per tick over the current run so far: the counter word
+  // against CLOCK_MONOTONIC since the thread's first increment. nullopt
+  // when not running (or not started yet) or when the word has not moved
+  // forward.
+  std::optional<double> ns_per_tick() const;
+
  private:
   void run();
 
@@ -80,6 +86,8 @@ class SoftwareCounter {
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   double ticks_per_second_ = 0.0;
+  std::atomic<u64> run_start_value_{0};  // word and CLOCK_MONOTONIC when the
+  std::atomic<u64> run_start_ns_{0};     // thread started (ns 0: not yet)
 };
 
 }  // namespace teeperf

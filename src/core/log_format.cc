@@ -3,6 +3,7 @@
 #include <csignal>
 #include <new>
 
+#include "common/fileutil.h"
 #include "faultsim/fault.h"
 #include "faultsim/fault_points.h"
 
@@ -380,162 +381,158 @@ bool ProfileLog::spill_store(LogShard& sh, const LogEntry* batch, u32 n) {
   return true;
 }
 
-void ProfileLog::shard_snapshot(u32 s, std::vector<LogEntry>* out) const {
-  out->clear();
-  if (!shards_ || s >= header_->shard_count) return;
-  const LogShard& sh = shards_[s];
-  u64 tail = sh.tail.load(std::memory_order_acquire);
-  u64 cap = sh.capacity;
-  const LogEntry* seg = entries_ + sh.entry_offset;
-  if (cap == 0) return;
+LogWindow ProfileLog::window(u32 s) const {
+  LogWindow w;
+  if (!header_) return w;
+  const LogEntry* seg = entries_;
+  u64 tail = 0;
+  u64 cap = 0;
+  if (shards_) {
+    if (s >= header_->shard_count) return w;
+    const LogShard& sh = shards_[s];
+    seg = entries_ + sh.entry_offset;
+    tail = sh.tail.load(std::memory_order_acquire);
+    cap = sh.capacity;
+  } else {
+    if (s != 0) return w;
+    tail = header_->tail.load(std::memory_order_acquire);
+    cap = header_->max_entries;
+  }
+  if (cap == 0) return w;
+  // The window in absolute slot numbers, [lo, hi); slot a lives at
+  // seg[a % cap]. Bounded logs hold [0, min(tail, cap)); a wrapped ring
+  // holds the newest capacity-sized window [tail - cap, tail); a spill log
+  // holds the undrained residue [drained, min(tail, drained + cap)).
   u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (f & log_flags::kSpillDrain) {
-    // Residue window: everything the drainer has not consumed,
-    // [drained, min(tail, drained + capacity)), addressed modulo capacity.
-    u64 d = sh.drained.load(std::memory_order_acquire);
-    u64 hi = tail < d + cap ? tail : d + cap;
-    if (hi <= d) return;
-    u64 len = hi - d;
-    u64 start = d % cap;
-    u64 head = cap - start < len ? cap - start : len;
-    out->reserve(len);
-    out->insert(out->end(), seg + start, seg + start + head);
-    out->insert(out->end(), seg, seg + (len - head));
-    return;
+  u64 lo = 0;
+  u64 hi = tail;
+  if (shards_ && (f & log_flags::kSpillDrain)) {
+    lo = shards_[s].drained.load(std::memory_order_acquire);
+    if (hi > lo + cap) hi = lo + cap;
+  } else if (f & log_flags::kRingBuffer) {
+    if (tail > cap) lo = tail - cap;
+  } else if (hi > cap) {
+    hi = cap;
   }
-  bool ring = (f & log_flags::kRingBuffer) != 0;
-  if (!ring || tail <= cap) {
-    u64 n = tail < cap ? tail : cap;
-    out->assign(seg, seg + n);
-    return;
+  w.start = lo;
+  if (hi <= lo) return w;
+  u64 len = hi - lo;
+  u64 first = lo % cap;
+  u64 head = cap - first < len ? cap - first : len;
+  w.first = std::span<const LogEntry>(seg + first, static_cast<usize>(head));
+  w.second = std::span<const LogEntry>(seg, static_cast<usize>(len - head));
+  return w;
+}
+
+void ProfileLog::for_each_window(const WindowFn& fn) const {
+  for (u32 s = 0; s < window_count(); ++s) {
+    LogWindow w = window(s);
+    fn(s, w.first, w.second);
   }
-  u64 start = tail % cap;
-  out->reserve(cap);
-  out->insert(out->end(), seg + start, seg + cap);
-  out->insert(out->end(), seg, seg + start);
+}
+
+void ProfileLog::shard_snapshot(u32 s, std::vector<LogEntry>* out) const {
+  LogWindow w = window(s);
+  out->clear();
+  out->reserve(static_cast<usize>(w.size()));
+  out->insert(out->end(), w.first.begin(), w.first.end());
+  out->insert(out->end(), w.second.begin(), w.second.end());
 }
 
 void ProfileLog::snapshot_ordered(std::vector<LogEntry>* out) const {
   out->clear();
-  if (!header_) return;
-  if (shards_) {
-    // Per-shard windows concatenated in directory order. Cross-shard order
-    // is arbitrary — as is cross-thread order in v1 — but each thread's
-    // entries land in one shard in program order, which is the invariant
-    // the analyzer depends on.
-    out->reserve(size());
-    std::vector<LogEntry> one;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      shard_snapshot(s, &one);
-      out->insert(out->end(), one.begin(), one.end());
-    }
-    return;
-  }
-  u64 tail = header_->tail.load(std::memory_order_acquire);
-  u64 cap = header_->max_entries;
-  bool ring = header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer;
-  if (!ring || tail <= cap) {
-    u64 n = tail < cap ? tail : cap;
-    out->assign(entries_, entries_ + n);
-    return;
-  }
-  // Wrapped: the oldest surviving entry sits at tail % cap.
-  u64 start = tail % cap;
-  out->reserve(cap);
-  out->insert(out->end(), entries_ + start, entries_ + cap);
-  out->insert(out->end(), entries_, entries_ + start);
+  out->reserve(static_cast<usize>(size()));
+  for_each_window([out](u32, std::span<const LogEntry> first,
+                        std::span<const LogEntry> second) {
+    out->insert(out->end(), first.begin(), first.end());
+    out->insert(out->end(), second.begin(), second.end());
+  });
 }
 
-std::string ProfileLog::serialize_compact() const {
-  std::string out;
-  if (!header_) return out;
-  LogHeader header_copy;
-  std::memcpy(static_cast<void*>(&header_copy), header_, sizeof(LogHeader));
-  header_copy.flags.store(
+void ProfileLog::compact_parts(LogHeader* header, std::vector<LogShard>* dir,
+                               std::vector<std::string_view>* parts) const {
+  std::memcpy(static_cast<void*>(header), header_, sizeof(LogHeader));
+  header->flags.store(
       flags() & ~(log_flags::kRingBuffer | log_flags::kSpillDrain),
       std::memory_order_relaxed);
   // The replica block is shm-only: compact dumps never carry it, so the
   // header field is zeroed for byte-deterministic output (and so loaders
   // don't go looking for a block that is not there).
-  header_copy.counter_replicas = 0;
-  if (!shards_) {
-    std::vector<LogEntry> ordered;
-    snapshot_ordered(&ordered);
-    header_copy.tail.store(ordered.size(), std::memory_order_relaxed);
-    out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
-    out.append(reinterpret_cast<const char*>(ordered.data()),
-               ordered.size() * sizeof(LogEntry));
-    return out;
+  header->counter_replicas = 0;
+  u32 n = window_count();
+  std::vector<LogWindow> windows(n);
+  for (u32 s = 0; s < n; ++s) windows[s] = window(s);
+  if (shards_) {
+    // v2: pack the written windows back-to-back and rewrite the directory
+    // so offsets are cumulative, capacity == tail == the written count, and
+    // no wrap/gap logic survives into the file.
+    *dir = std::vector<LogShard>(n);
+    u64 total = 0;
+    for (u32 s = 0; s < n; ++s) {
+      LogShard& d = (*dir)[s];
+      d.entry_offset = total;
+      d.capacity = windows[s].size();
+      d.tail.store(windows[s].size(), std::memory_order_relaxed);
+      d.dropped.store(shards_[s].dropped.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+      // On disk `drained` carries the window's absolute start cursor (0 for
+      // logs that never drained/wrapped, so plain dumps stay byte-
+      // identical). The spill loader uses it to stitch chunk files and the
+      // final residue into one stream and to skip overlap after a drainer
+      // crash/resume.
+      d.drained.store(windows[s].start, std::memory_order_relaxed);
+      total += windows[s].size();
+    }
+    header->max_entries = total;
+    header->tail.store(0, std::memory_order_relaxed);
+  } else {
+    dir->clear();
+    header->tail.store(windows[0].size(), std::memory_order_relaxed);
   }
-  // v2: pack the written windows back-to-back and rewrite the directory so
-  // offsets are cumulative, capacity == tail == the written count, and no
-  // wrap/gap logic survives into the file.
-  u32 nshards = header_->shard_count;
-  std::vector<std::vector<LogEntry>> windows(nshards);
-  std::vector<LogShard> dir(nshards);
-  u64 total = 0;
-  for (u32 s = 0; s < nshards; ++s) {
-    shard_snapshot(s, &windows[s]);
-    dir[s].entry_offset = total;
-    dir[s].capacity = windows[s].size();
-    dir[s].tail.store(windows[s].size(), std::memory_order_relaxed);
-    dir[s].dropped.store(shards_[s].dropped.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    // On disk `drained` carries the window's absolute start cursor (0 for
-    // logs that never drained/wrapped, so plain dumps stay byte-identical).
-    // The spill loader uses it to stitch chunk files and the final residue
-    // into one stream and to skip overlap after a drainer crash/resume.
-    dir[s].drained.store(shard_window_start(s), std::memory_order_relaxed);
-    total += windows[s].size();
+  auto bytes = [](std::span<const LogEntry> span) {
+    return std::string_view(reinterpret_cast<const char*>(span.data()),
+                            span.size_bytes());
+  };
+  parts->clear();
+  parts->push_back(
+      std::string_view(reinterpret_cast<const char*>(header), sizeof(LogHeader)));
+  if (!dir->empty()) {
+    parts->push_back(std::string_view(reinterpret_cast<const char*>(dir->data()),
+                                      dir->size() * sizeof(LogShard)));
   }
-  header_copy.max_entries = total;
-  header_copy.tail.store(0, std::memory_order_relaxed);
-  out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
-  out.append(reinterpret_cast<const char*>(dir.data()),
-             static_cast<usize>(nshards) * sizeof(LogShard));
-  for (u32 s = 0; s < nshards; ++s) {
-    out.append(reinterpret_cast<const char*>(windows[s].data()),
-               windows[s].size() * sizeof(LogEntry));
+  for (const LogWindow& w : windows) {
+    if (!w.first.empty()) parts->push_back(bytes(w.first));
+    if (!w.second.empty()) parts->push_back(bytes(w.second));
   }
+}
+
+std::string ProfileLog::serialize_compact() const {
+  std::string out;
+  if (!header_) return out;
+  LogHeader header;
+  std::vector<LogShard> dir;
+  std::vector<std::string_view> parts;
+  compact_parts(&header, &dir, &parts);
+  usize total = 0;
+  for (std::string_view p : parts) total += p.size();
+  out.reserve(total);
+  for (std::string_view p : parts) out.append(p);
   return out;
 }
 
-u64 ProfileLog::shard_window_start(u32 s) const {
-  if (!shards_ || s >= header_->shard_count) return 0;
-  const LogShard& sh = shards_[s];
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (f & log_flags::kSpillDrain) {
-    return sh.drained.load(std::memory_order_acquire);
-  }
-  if (f & log_flags::kRingBuffer) {
-    u64 t = sh.tail.load(std::memory_order_acquire);
-    if (t > sh.capacity) return t - sh.capacity;
-  }
-  return 0;
+bool ProfileLog::write_compact(const std::string& path) const {
+  if (!header_) return false;
+  LogHeader header;
+  std::vector<LogShard> dir;
+  std::vector<std::string_view> parts;
+  compact_parts(&header, &dir, &parts);
+  return write_file_parts(path, parts);
 }
 
 u64 ProfileLog::size() const {
-  if (!header_) return 0;
-  if (shards_) {
-    u64 spill =
-        header_->flags.load(std::memory_order_relaxed) & log_flags::kSpillDrain;
-    u64 n = 0;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      u64 t = shards_[s].tail.load(std::memory_order_acquire);
-      u64 cap = shards_[s].capacity;
-      if (spill) {
-        // Undrained residue only; spilled entries live in chunk files.
-        u64 d = shards_[s].drained.load(std::memory_order_acquire);
-        u64 hi = t < d + cap ? t : d + cap;
-        n += hi > d ? hi - d : 0;
-      } else {
-        n += t < cap ? t : cap;
-      }
-    }
-    return n;
-  }
-  u64 t = header_->tail.load(std::memory_order_acquire);
-  return t < header_->max_entries ? t : header_->max_entries;
+  u64 n = 0;
+  for (u32 s = 0; s < window_count(); ++s) n += window(s).size();
+  return n;
 }
 
 u64 ProfileLog::attempted() const {
@@ -586,59 +583,24 @@ u64 ProfileLog::flags() const {
   return header_ ? header_->flags.load(std::memory_order_acquire) : 0;
 }
 
-u64 ProfileLog::shard_torn_tail(u32 s, u64 window) const {
-  if (!header_) return 0;
-  const LogEntry* seg = entries_;
-  u64 t = 0;
-  u64 cap = 0;
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (shards_) {
-    if (s >= header_->shard_count) return 0;
-    const LogShard& sh = shards_[s];
-    t = sh.tail.load(std::memory_order_acquire);
-    cap = sh.capacity;
-    seg = entries_ + sh.entry_offset;
-  } else {
-    if (s != 0) return 0;
-    t = header_->tail.load(std::memory_order_acquire);
-    cap = header_->max_entries;
-  }
-  if (cap == 0) return 0;
-  // The written window in absolute slot numbers. Bounded logs hold
-  // [0, min(tail, cap)); a wrapped ring holds the newest capacity-sized
-  // window [tail - cap, tail); a spill log holds the undrained residue
-  // [drained, min(tail, drained + cap)). Slot a lives at seg[a % cap] —
-  // indexing the scan from the clamped tail (the old code) walked the
-  // wrong slots once a ring tail passed capacity: the newest entry sits
-  // at (tail - 1) % cap, not at cap - 1.
-  u64 lo = 0;
-  u64 hi = t;
-  if (shards_ && (f & log_flags::kSpillDrain)) {
-    lo = shards_[s].drained.load(std::memory_order_acquire);
-    u64 end = lo + cap;
-    if (hi > end) hi = end;
-  } else if (f & log_flags::kRingBuffer) {
-    if (t > cap) lo = t - cap;
-  } else if (hi > cap) {
-    hi = cap;
-  }
-  if (hi <= lo) return 0;
-  u64 from = hi > window ? hi - window : 0;
-  if (from < lo) from = lo;
+u64 ProfileLog::shard_torn_tail(u32 s, u64 scan) const {
+  // Scan the newest `scan` entries of the window, newest last. Walking the
+  // window (not raw indices from the clamped tail) is what keeps a wrapped
+  // ring right: its newest entry sits at (tail - 1) % cap, not at cap - 1.
+  LogWindow w = window(s);
+  u64 from = w.size() > scan ? w.size() - scan : 0;
   u64 torn = 0;
-  for (u64 a = from; a < hi; ++a) {
-    if (is_tombstone(seg[a % cap])) ++torn;
+  for (u64 i = from; i < w.size(); ++i) {
+    const LogEntry& e = i < w.first.size() ? w.first[i]
+                                           : w.second[i - w.first.size()];
+    if (is_tombstone(e)) ++torn;
   }
   return torn;
 }
 
-u64 ProfileLog::count_torn_tail(u64 window) const {
-  if (!header_) return 0;
-  if (!shards_) return shard_torn_tail(0, window);
+u64 ProfileLog::count_torn_tail(u64 scan) const {
   u64 torn = 0;
-  for (u32 s = 0; s < header_->shard_count; ++s) {
-    torn += shard_torn_tail(s, window);
-  }
+  for (u32 s = 0; s < window_count(); ++s) torn += shard_torn_tail(s, scan);
   return torn;
 }
 

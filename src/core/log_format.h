@@ -27,7 +27,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -103,9 +106,10 @@ struct LogHeader {
                                   // number of CounterReplicaSlot words in the
                                   // trailing replica block; 0 = single counter
                                   // (the layout-compatible pre-replica value)
-  double ns_per_tick = 0.0;       // measured at dump time; lets the analyzer
-                                  // report human time (relative profiles do
-                                  // not depend on its accuracy)
+  double ns_per_tick = 0.0;       // calibrated at detach, written at dump;
+                                  // lets the analyzer report human time
+                                  // (relative profiles do not depend on its
+                                  // accuracy)
   std::atomic<u64> dropped{0};    // v1: appends refused when full. Lives in
                                   // the shared header (not the writer
                                   // process) so cross-process readers — the
@@ -174,6 +178,20 @@ struct alignas(64) CounterReplicaSlot {
 };
 static_assert(sizeof(CounterReplicaSlot) == 64);
 
+// One shard's written window as it sits in the log (DESIGN.md §8), oldest→
+// newest: at most two spans, the second non-empty only when a ring or spill
+// window wraps past the end of its segment. `start` is the absolute stream
+// cursor of the window's first entry: `drained` for spill logs, `tail -
+// capacity` for a wrapped ring, else 0.
+// teeperf-lint: allow(r3): process-local view into the log, not shm-resident
+struct LogWindow {
+  std::span<const LogEntry> first;
+  std::span<const LogEntry> second;
+  u64 start = 0;
+
+  u64 size() const { return first.size() + second.size(); }
+};
+
 // A view over a header + (directory +) entry array placed in a caller-
 // provided region. Does not own the memory (the shared-memory region or
 // file buffer does).
@@ -209,13 +227,27 @@ class ProfileLog {
   // degrades to n individual appends. Returns false if any entry dropped.
   bool append_batch(const LogEntry* batch, u32 n, u64 tid);
 
-  // Copies the entries in a canonical order into `out`: v1 oldest→newest
-  // (handling ring wrap-around); v2 shard 0's window, then shard 1's, ...,
-  // each window oldest→newest. Per-thread order — the analyzer's only
-  // ordering requirement — is preserved in both.
+  // The one ordered view of the log. window(s) is shard `s`'s written
+  // window (a v1 log has one window, s == 0): bounded, ring-wrapped and
+  // spill-residue windows alike, viewed in place — nothing is copied.
+  // window_count() is shard_count() for v2 and 1 for v1 (0 when invalid).
+  LogWindow window(u32 s) const;
+  u32 window_count() const {
+    return header_ ? (shards_ ? header_->shard_count : 1) : 0;
+  }
+
+  // Visits every window in directory order as fn(shard, first, second).
+  // Each thread's entries lie in one window in program order, which is the
+  // analyzer's only ordering requirement.
+  using WindowFn = std::function<void(u32 shard, std::span<const LogEntry> first,
+                                      std::span<const LogEntry> second)>;
+  void for_each_window(const WindowFn& fn) const;
+
+  // Copies the entries in window order into `out`: v1 oldest→newest
+  // (handling ring wrap-around); v2 shard 0's window, then shard 1's, ....
   void snapshot_ordered(std::vector<LogEntry>* out) const;
 
-  // Copies one v2 shard's written window, oldest→newest (ring-aware).
+  // Copies one shard's written window, oldest→newest (ring-aware).
   void shard_snapshot(u32 s, std::vector<LogEntry>* out) const;
 
   // Serializes header + (directory +) written entries as a compact dump:
@@ -223,6 +255,11 @@ class ProfileLog {
   // v2 segments are packed back-to-back with the directory rewritten, so
   // the offline loader needs neither wrap logic nor segment gaps.
   std::string serialize_compact() const;
+
+  // Writes exactly serialize_compact()'s bytes to `path` without building
+  // them: the rewritten header and directory, then every window's spans
+  // straight out of the log, in one gathered write. False on I/O failure.
+  bool write_compact(const std::string& path) const;
 
   bool valid() const { return header_ != nullptr; }
   bool sharded() const { return shards_ != nullptr; }
@@ -236,10 +273,10 @@ class ProfileLog {
   LogShard* shard(u32 s) { return shards_ ? &shards_[s] : nullptr; }
   const LogShard* shard(u32 s) const { return shards_ ? &shards_[s] : nullptr; }
 
-  // Number of complete entries: min(tail, max_entries) for v1, the sum of
-  // per-shard clamped tails for v2. Entries past capacity were dropped;
-  // entries at the very tail may be torn if the application was killed
-  // mid-write, which the analyzer tolerates.
+  // Number of entries in the windows (the sum of window(s).size()).
+  // Entries past capacity were dropped or overwritten; spilled entries live
+  // in chunk files; entries at the very tail may be torn if the application
+  // was killed mid-write, which the analyzer tolerates.
   u64 size() const;
   u64 capacity() const { return header_ ? header_->max_entries : 0; }
 
@@ -315,12 +352,12 @@ class ProfileLog {
   // Counts torn entries at the tail: slots that were reserved (a tail moved
   // past them) but never filled in — all-zero words — because a writer died
   // between the fetch-and-add and the stores. A batched v2 writer can leave
-  // up to a whole batch of them. Scans at most the last `window` written
-  // entries per shard; run at dump time, after writers stopped.
-  u64 count_torn_tail(u64 window = 64) const;
+  // up to a whole batch of them. Scans at most the last `scan` written
+  // entries per window; run at dump time, after writers stopped.
+  u64 count_torn_tail(u64 scan = 64) const;
 
-  // The per-shard torn-tail count (v2; shard 0 == the whole log for v1).
-  u64 shard_torn_tail(u32 s, u64 window = 64) const;
+  // The per-window torn-tail count (v2; window 0 == the whole log for v1).
+  u64 shard_torn_tail(u32 s, u64 scan = 64) const;
 
  private:
   bool append_one(const LogEntry& e, u64 tid);
@@ -330,9 +367,11 @@ class ProfileLog {
   // spans), then publishes it in reservation order via `sh.published`.
   bool spill_store(LogShard& sh, const LogEntry* batch, u32 n);
 
-  // Absolute cursor of the first entry shard_snapshot(s) would return:
-  // `drained` for spill logs, `tail - capacity` for a wrapped ring, else 0.
-  u64 shard_window_start(u32 s) const;
+  // The compact dump as pieces: `*header` and `*dir` receive the rewritten
+  // header and directory, `*parts` views them followed by the windows'
+  // spans in the log. serialize_compact and write_compact share it.
+  void compact_parts(LogHeader* header, std::vector<LogShard>* dir,
+                     std::vector<std::string_view>* parts) const;
 
   LogHeader* header_ = nullptr;
   LogShard* shards_ = nullptr;  // null for v1 logs

@@ -172,6 +172,9 @@ bool Recorder::attach() {
       counter_->start();
     }
   }
+  // Start of the attach → detach calibration window (see calibrate()).
+  attach_counter_ = read_counter(options_.counter_mode, log_.header());
+  attach_ns_ = monotonic_ns();
   if (telemetry_) {
     // Publish for the in-process hook instrumentation (runtime.cc), then
     // start the counter-health watchdog against the live counter and log.
@@ -242,6 +245,9 @@ void Recorder::detach() {
     telemetry_->journal().record(obs::EventType::kDetach, log_.size(),
                                  log_.dropped());
   }
+  // Calibrate while the counter still runs: once it stops, no window can
+  // measure it, and a later dump would record the session uncalibrated.
+  ns_per_tick_ = calibrate();
   if (counter_) {
     counter_->stop();
     counter_.reset();
@@ -251,6 +257,28 @@ void Recorder::detach() {
     replicated_.reset();
   }
   attached_ = false;
+}
+
+std::optional<double> Recorder::calibrate() const {
+  CounterMode mode = options_.counter_mode;
+  if (mode == CounterMode::kSteadyClock) return 1.0;  // ticks ARE nanoseconds
+  // A replicated session has calibrated continuously over every healthy
+  // detector window; prefer that long-window estimate.
+  if (replicated_) {
+    if (std::optional<double> npt = replicated_->calibrated_ns_per_tick()) {
+      return npt;
+    }
+  }
+  // A single software counter measures its own run: ticks against
+  // CLOCK_MONOTONIC since the thread's first increment, which excludes the
+  // thread's start-up delay an attach-time reading would include.
+  if (counter_) return counter_->ns_per_tick();
+  // Otherwise the attach → now window of counter against CLOCK_MONOTONIC.
+  u64 c = read_counter(mode, log_.header());
+  u64 t = monotonic_ns();
+  if (c <= attach_counter_ || t <= attach_ns_) return std::nullopt;
+  return static_cast<double>(t - attach_ns_) /
+         static_cast<double>(c - attach_counter_);
 }
 
 void Recorder::start() {
@@ -288,19 +316,11 @@ bool Recorder::dump(const std::string& prefix) {
     raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
   }
 
-  // Measure the tick rate before serialising so the analyzer can convert.
-  // A replicated session has been calibrating continuously (every healthy
-  // detector window), so prefer that long-window estimate; otherwise take a
-  // fresh spot measurement, retrying a couple of times — a single stalled
-  // 2 ms window must not silently mark the dump as 1 ns/tick (the old bug).
-  // ns_per_tick = 0 in the header means "uncalibrated"; the analyzer then
-  // reports raw ticks instead of fabricated time.
-  std::optional<double> npt;
-  if (replicated_) npt = replicated_->calibrated_ns_per_tick();
-  for (int attempt = 0; attempt < 3 && !npt; ++attempt) {
-    npt = counter_ns_per_tick(options_.counter_mode, log_.header());
-  }
-  log_.header()->ns_per_tick = npt.value_or(0.0);
+  // Tick rate for the analyzer's ns conversion: taken at detach, while the
+  // counter still ran, or now when the session is still attached. 0 in the
+  // header means "uncalibrated"; the analyzer then reports raw ticks.
+  if (attached_) ns_per_tick_ = calibrate();
+  log_.header()->ns_per_tick = ns_per_tick_.value_or(0.0);
 
   // Fault point: the dump failing outright (disk full, signal mid-exit).
   if (fault::fires(fault_points::kDumpFail)) return false;
@@ -308,20 +328,27 @@ bool Recorder::dump(const std::string& prefix) {
   u64 tail = log_.header()->tail.load(std::memory_order_acquire);
   bool wrapped = (log_.flags() & log_flags::kRingBuffer) &&
                  (log_.sharded() || tail > log_.capacity());
+  bool armed = fault::Registry::instance().any_armed();
   if (log_.sharded() || wrapped) {
     // Sharded (v2) or wrapped-ring logs persist in compact form: windows
     // packed back-to-back, ring order normalized, directory rewritten — so
-    // the analyzer's offline loader needs no wrap or gap logic. The faults
-    // mangle the serialized copy, never the live log.
-    std::string out = log_.serialize_compact();
-    fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-    if (!write_file(prefix + ".log", out)) return false;
+    // the analyzer's offline loader needs no wrap or gap logic. The windows
+    // go to disk straight out of shm; only an armed fault needs the
+    // serialized copy, so the torn/bit-flip faults mangle the file, never
+    // the live log.
+    if (!armed) {
+      if (!log_.write_compact(prefix + ".log")) return false;
+    } else {
+      std::string out = log_.serialize_compact();
+      fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
+      if (!write_file(prefix + ".log", out)) return false;
+    }
   } else {
     u64 n = log_.size();
     usize bytes = sizeof(LogHeader) + static_cast<usize>(n) * sizeof(LogEntry);
     std::string_view raw(static_cast<const char*>(shm_.data()), bytes);
-    if (fault::Registry::instance().any_armed()) {
-      // Copy so the torn/bit-flip faults mangle the file, not the live log.
+    if (armed) {
+      // Same rule as above: copy so the faults mangle the file only.
       std::string out(raw);
       fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
       if (!write_file(prefix + ".log", out)) return false;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/shm.h"
@@ -149,14 +150,19 @@ class Recorder {
   // anonymous sessions, publish_session=false, or a failed publish).
   const std::string& session_name() const { return session_name_; }
 
-  // Writes "<prefix>.log" (raw header + entries, with ns_per_tick measured
-  // and stored into the header) and "<prefix>.sym" (registered symbols plus
-  // dladdr resolutions of raw addresses found in the log). Returns false on
-  // I/O failure.
+  // Writes "<prefix>.log" (raw header + entries, with the tick rate
+  // calibrated at detach — or now, while still attached — stored into the
+  // header) and "<prefix>.sym" (registered symbols plus dladdr resolutions
+  // of raw addresses found in the log). Returns false on I/O failure.
   bool dump(const std::string& prefix);
 
  private:
   Recorder() = default;
+
+  // ns per counter tick over the session so far; nullopt when the counter
+  // has not advanced (never attached, stalled from the start, or a
+  // backjump left it below its starting value).
+  std::optional<double> calibrate() const;
 
   RecorderOptions options_;
   std::string session_name_;
@@ -169,6 +175,9 @@ class Recorder {
   std::unique_ptr<obs::SelfTelemetry> telemetry_;
   std::unique_ptr<obs::Watchdog> watchdog_;
   bool attached_ = false;
+  u64 attach_counter_ = 0;             // counter and CLOCK_MONOTONIC at
+  u64 attach_ns_ = 0;                  // attach: the calibration window start
+  std::optional<double> ns_per_tick_;  // calibrated at the last detach
 };
 
 }  // namespace teeperf

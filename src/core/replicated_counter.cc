@@ -140,6 +140,7 @@ void ReplicatedCounter::detector_run() {
     last[r] = slots_[r].value.load(std::memory_order_relaxed);
   }
   u64 last_ns = monotonic_ns();
+  u64 last_header = header_->counter.load(std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(detector_mu_);
   while (!stop_.load(std::memory_order_acquire)) {
     detector_cv_.wait_for(lock,
@@ -153,7 +154,6 @@ void ReplicatedCounter::detector_run() {
     u32 primary = dir_->primary.load(std::memory_order_relaxed);
     bool primary_bad = false;
     bool primary_jumped = false;
-    u64 primary_dc = 0;
     std::vector<double> rates;
     rates.reserve(replicas_);
     for (u32 r = 0; r < replicas_; ++r) {
@@ -184,7 +184,6 @@ void ReplicatedCounter::detector_run() {
         zero_windows[r] = 0;
         rates.push_back(static_cast<double>(dc) / static_cast<double>(dt));
       }
-      if (r == primary) primary_dc = dc;
     }
 
     // Drift across replicas: max relative deviation from the median rate of
@@ -212,7 +211,6 @@ void ReplicatedCounter::detector_run() {
     }
     health_.stalled_replicas = stalled;
 
-    bool elected = false;
     if (primary_bad && replicas_ > 1) {
       // Elect the healthy replica with the largest value: it has made the
       // most progress, so rebasing onto it loses the least resolution and
@@ -233,7 +231,6 @@ void ReplicatedCounter::detector_run() {
         dir_->failovers.fetch_add(1, std::memory_order_relaxed);
         health_.failovers = dir_->failovers.load(std::memory_order_relaxed);
         health_.primary = best;
-        elected = true;
         if (on_failover_) {
           on_failover_(primary, best,
                        header_->counter.load(std::memory_order_relaxed));
@@ -243,13 +240,19 @@ void ReplicatedCounter::detector_run() {
       health_.primary = primary;
     }
 
-    // Calibration: accumulate the elected primary's (dt, dc) unless this
-    // window contained an election or a primary backjump. Zero-tick windows
-    // are included on purpose — see the header comment.
-    if (!elected && !primary_jumped) {
+    // Calibration: accumulate (dt, Δheader) — the probe-visible word, the
+    // one timestamps are taken from — unless it moved backwards. Zero-tick
+    // windows are included on purpose (see the header comment), and so is
+    // the forward jump a new primary's rebase makes: it is the time the
+    // stalled primary froze the word, which frames spanning the stall
+    // measure too. Without the jump, a stall's zero-tick windows would
+    // inflate ns/tick by the stall's whole length.
+    u64 h = header_->counter.load(std::memory_order_relaxed);
+    if (h >= last_header && !primary_jumped) {
       calib_dt_ += static_cast<double>(dt);
-      calib_dc_ += static_cast<double>(primary_dc);
+      calib_dc_ += static_cast<double>(h - last_header);
     }
+    last_header = h;
   }
 }
 

@@ -16,12 +16,13 @@
 // monotonic across elections.
 //
 // The detector doubles as the calibration pass: it accumulates (Δwall-ns,
-// Δticks) pairs for the elected primary across healthy windows, and
+// Δticks) pairs of the probe-visible header word, and
 // calibrated_ns_per_tick() = Σdt / Σdc maps ticks to real time. Zero-tick
 // windows are *included* (profiled code accrues no ticks while the counter
 // is descheduled either, so including the elapsed time keeps tick→wall
-// conversion faithful end-to-end); windows containing an election or a
-// backjump are excluded.
+// conversion faithful end-to-end), and so is the forward jump a fail-over
+// rebase makes (the ticks the frozen word missed); windows in which the
+// word or the primary's slot moved backwards are excluded.
 #pragma once
 
 #include <atomic>

@@ -13,13 +13,18 @@ namespace teeperf {
 std::string build_symbol_file(const ProfileLog& log) {
   std::string sym = SymbolRegistry::instance().serialize();
   std::unordered_set<u64> raw_addrs;
-  // snapshot_ordered rather than raw indices: a sharded (v2) log's entry
+  // Scan the windows in place, in window order: a sharded (v2) log's entry
   // array has per-shard gaps, so index 0..size() is not the written set.
-  std::vector<LogEntry> entries;
-  log.snapshot_ordered(&entries);
-  for (const LogEntry& e : entries) {
-    if (!SymbolRegistry::is_registered_id(e.addr)) raw_addrs.insert(e.addr);
-  }
+  auto scan = [&raw_addrs](std::span<const LogEntry> span) {
+    for (const LogEntry& e : span) {
+      if (!SymbolRegistry::is_registered_id(e.addr)) raw_addrs.insert(e.addr);
+    }
+  };
+  log.for_each_window([&scan](u32, std::span<const LogEntry> first,
+                              std::span<const LogEntry> second) {
+    scan(first);
+    scan(second);
+  });
   // The residual window is not the whole session: spill mode drains entries
   // out of shm continuously and ring mode overwrites them on wrap. The
   // runtime's first-sight table holds every raw address that was ever

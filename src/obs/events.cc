@@ -44,7 +44,9 @@ void EventJournal::record(EventType type, u64 arg0, u64 arg1,
   r.arg0 = arg0;
   r.arg1 = arg1;
   usize n = std::min(detail.size(), sizeof(r.detail) - 1);
-  std::memcpy(r.detail, detail.data(), n);
+  // An empty view may carry a null data(); memcpy from null is undefined
+  // even for zero bytes.
+  if (n > 0) std::memcpy(r.detail, detail.data(), n);
   r.detail[n] = '\0';
   r.seq.store(seq + 1, std::memory_order_release);  // commit
 }

@@ -671,6 +671,14 @@ TEST_P(ReplicatedCounterFailoverTest, PrimaryStallFailsOverCalibrated) {
   double wall = static_cast<double>(monotonic_ns() - wall0);
   EXPECT_TRUE(monotonic);
 
+  // Dump while the replicated counter (and its running calibration) is
+  // still alive, right after the workload: the calibration then spans the
+  // measured wall window. The waits below can last far longer than the
+  // loop on a loaded machine, at a different tick rate, which skewed a
+  // dump taken after them by 30–200% either way.
+  std::string dir = make_temp_dir("teeperf_replicated_");
+  ASSERT_TRUE(rec->dump(dir + "/run"));
+
   // The fail-over completed somewhere inside the workload (the primary's
   // stall fires within its first few tick batches).
   u64 deadline = monotonic_ns() + 10'000'000'000ull;
@@ -702,10 +710,6 @@ TEST_P(ReplicatedCounterFailoverTest, PrimaryStallFailsOverCalibrated) {
   }
   EXPECT_TRUE(journaled);
 
-  // Dump while the replicated counter (and its running calibration) is
-  // still alive, then check the calibrated report end to end.
-  std::string dir = make_temp_dir("teeperf_replicated_");
-  ASSERT_TRUE(rec->dump(dir + "/run"));
   rec->detach();
 
   auto profile = analyzer::Profile::load(dir + "/run");

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,19 @@ TEST(ObsJournal, RecordAndSnapshot) {
   EXPECT_EQ(events[2].arg1, 7u);
   // Timestamps are monotone in sequence order.
   EXPECT_LE(events[0].t_ns, events[2].t_ns);
+}
+
+TEST(ObsJournal, EmptyDetailRecordsEmptyString) {
+  // A default string_view has a null data(); recording it must not hand
+  // memcpy a null source (undefined even for zero bytes; UBSan flags it).
+  // One slot, so the empty detail overwrites a nonempty one.
+  auto t = anon_session(/*journal_capacity=*/1);
+  t->journal().record(EventType::kActivate, 1, 0, "stale");
+  t->journal().record(EventType::kDetach, 2, 0, std::string_view());
+  auto events = t->journal().snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, EventType::kDetach);
+  EXPECT_STREQ(events[0].detail, "");
 }
 
 TEST(ObsJournal, WrapKeepsNewestWindow) {

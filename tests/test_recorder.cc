@@ -4,11 +4,14 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <map>
+#include <span>
 #include <thread>
 
 #include "analyzer/profile.h"
 #include "common/fileutil.h"
+#include "common/spin.h"
 #include "core/profiler.h"
 
 namespace teeperf {
@@ -173,21 +176,29 @@ TEST_F(RecorderTest, MultithreadedRecordingKeepsPerThreadOrder) {
   for (auto& th : threads) th.join();
   rec->detach();
 
-  // Per thread: perfectly nested call/return sequences.
+  // Per thread: perfectly nested call/return sequences. Walk the windows,
+  // not entry(i) for i < size(): with auto shards the entry array has
+  // per-shard gaps, and a flat index reads unwritten slots.
   std::map<u64, int> depth;
   std::map<u64, u64> events;
-  for (u64 i = 0; i < rec->log().size(); ++i) {
-    const LogEntry& e = rec->log().entry(i);
-    int& d = depth[e.tid];
-    if (e.kind() == EventKind::kCall) {
-      ++d;
-      EXPECT_LE(d, 2);
-    } else {
-      --d;
-      EXPECT_GE(d, 0);
+  auto walk = [&](std::span<const LogEntry> span) {
+    for (const LogEntry& e : span) {
+      int& d = depth[e.tid];
+      if (e.kind() == EventKind::kCall) {
+        ++d;
+        EXPECT_LE(d, 2);
+      } else {
+        --d;
+        EXPECT_GE(d, 0);
+      }
+      ++events[e.tid];
     }
-    ++events[e.tid];
-  }
+  };
+  rec->log().for_each_window([&](u32, std::span<const LogEntry> first,
+                                 std::span<const LogEntry> second) {
+    walk(first);
+    walk(second);
+  });
   for (auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "tid " << tid;
   EXPECT_EQ(events.size(), static_cast<usize>(kThreads));
   for (auto& [tid, n] : events) EXPECT_EQ(n, kIters * 4u) << "tid " << tid;
@@ -229,6 +240,45 @@ TEST_F(RecorderTest, DumpAndLoadRoundTrip) {
   EXPECT_EQ(profile->name(profile->invocations()[0].method), "dump::parent");
   EXPECT_EQ(profile->name(profile->invocations()[1].method), "dump::child");
   EXPECT_GT(profile->ns_per_tick(), 0.0);
+  remove_tree(dir);
+}
+
+TEST_F(RecorderTest, SoftwareCounterCalibratedAtDetach) {
+  // The tick rate must be taken while the counter runs. Calibrating at dump
+  // time, after detach stopped the counter, measured a frozen word and
+  // wrote ns_per_tick = 0 for every detach → dump session.
+  std::string dir = make_temp_dir("teeperf_calib_");
+  RecorderOptions opts;
+  opts.counter_mode = CounterMode::kSoftware;
+  opts.software_counter_yield = 1024;  // single-core safety
+  auto rec = Recorder::create(opts);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_TRUE(rec->attach());
+  const LogHeader* h = rec->log().header();
+  u64 deadline = monotonic_ns() + 2'000'000'000ull;
+  while (h->counter.load(std::memory_order_relaxed) == 0 &&
+         monotonic_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  // Reference rate over ~20 ms of the session, read from the outside.
+  u64 c0 = h->counter.load(std::memory_order_relaxed);
+  u64 t0 = monotonic_ns();
+  while (monotonic_ns() - t0 < 20'000'000ull) {
+    TEEPERF_SCOPE("calib::tick");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  u64 c1 = h->counter.load(std::memory_order_relaxed);
+  u64 t1 = monotonic_ns();
+  rec->detach();
+  ASSERT_TRUE(rec->dump(dir + "/run"));
+
+  auto profile = analyzer::Profile::load(dir + "/run");
+  ASSERT_TRUE(profile.has_value());
+  ASSERT_GT(c1, c0);
+  double wall_per_tick =
+      static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
+  EXPECT_GT(profile->ns_per_tick(), 0.0);
+  EXPECT_NEAR(profile->ns_per_tick(), wall_per_tick, 0.2 * wall_per_tick);
   remove_tree(dir);
 }
 

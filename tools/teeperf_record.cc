@@ -546,8 +546,8 @@ int main(int argc, char** argv) {
   if (log.sharded() || (ring && tail > max_entries)) {
     // Sharded or wrapped logs persist in compact form (windows packed
     // back-to-back, ring order normalized) so offline loaders see plain
-    // order with no gaps.
-    if (!write_file(prefix + ".log", log.serialize_compact())) {
+    // order with no gaps, written straight out of the shm windows.
+    if (!log.write_compact(prefix + ".log")) {
       std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
                    prefix.c_str());
       return 1;
