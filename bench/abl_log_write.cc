@@ -19,7 +19,8 @@
 // landing past the wrap must still publish as at most two memcpy spans,
 // not degrade to the per-entry modulo loop. And a spill-drain smoke pushes
 // four writers through a log a fraction of the session size with a live
-// drainer, gating zero drops and nonzero spilled bytes.
+// drainer, gating zero drops, nonzero spilled bytes, and a per-entry cost
+// of at most 6x a single-writer in-memory v2 append.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -455,6 +456,23 @@ int sweep_main(const std::string& out_path, const std::string& check_path,
                  static_cast<unsigned long long>(drain_smoke.dropped),
                  static_cast<unsigned long long>(drain_smoke.spilled_bytes),
                  ok ? "OK" : "FAIL");
+    if (!ok) ++failures;
+  }
+  // Drain cost gate: spilling through the drainer (copy, CRC, write) may
+  // cost at most kDrainCeiling single-writer in-memory v2 appends per entry.
+  // A byte-at-a-time CRC or a per-round copy of every window shows up as a
+  // multiple of that: ~25x with both on a 4-vCPU x86-64 VM, 2.8-4.2x with
+  // neither.
+  for (const SweepRow& row : rows) {
+    if (row.writers != 1) continue;
+    constexpr double kDrainCeiling = 6.0;
+    double ratio = row.v2_ns > 0 ? drain_smoke.ns_per_op / row.v2_ns : 0.0;
+    bool ok = ratio > 0 && ratio <= kDrainCeiling;
+    std::fprintf(stderr,
+                 "check drain ns_per_op=%.2f v2_append=%.2f ratio=%.2fx "
+                 "ceiling=%.1fx %s\n",
+                 drain_smoke.ns_per_op, row.v2_ns, ratio, kDrainCeiling,
+                 ok ? "OK" : "REGRESSION");
     if (!ok) ++failures;
   }
   return failures ? 1 : 0;

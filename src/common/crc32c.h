@@ -8,8 +8,14 @@
 
 namespace teeperf {
 
-// Extends `crc` with `data[0, n)`. Pass 0 as the initial crc.
+// Extends `crc` with `data[0, n)`. Pass 0 as the initial crc. Runs the
+// SSE4.2 `crc32` instruction when CPUID reports it (checked once), else
+// the portable table loop; the result is the same either way.
 u32 crc32c_extend(u32 crc, const void* data, usize n);
+
+// The table-driven byte-at-a-time loop that crc32c_extend falls back to on
+// CPUs without SSE4.2. Exposed so tests can compare the two paths.
+u32 crc32c_extend_portable(u32 crc, const void* data, usize n);
 
 inline u32 crc32c(const void* data, usize n) { return crc32c_extend(0, data, n); }
 

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,11 +49,36 @@ struct ShardWindow {
   std::vector<LogEntry> entries;
 };
 
-// Serializes one drain round as a framed chunk. `session` supplies the
-// immutable header fields (pid, counter_mode, ...); ring/spill/active flags
-// are cleared so the payload reads as a plain bounded compact dump.
+// Serializes one drain round as a framed chunk, in memory. `session`
+// supplies the immutable header fields (pid, counter_mode, ...); ring/spill/
+// active flags are cleared so the payload reads as a plain bounded compact
+// dump.
 std::string serialize_chunk(const LogHeader& session,
                             const std::vector<ShardWindow>& windows, u32 seq);
+
+// Writes chunk files by streaming each window's spans through one fixed
+// buffer: copy a piece, extend the CRC over the copy, write the copy. The
+// CRC therefore covers exactly the bytes written, even when a writer
+// overwrites the source window mid-chunk (spill force-advance). The frame
+// goes to offset 0 last, so a death mid-write leaves a zero frame that
+// fails to parse. Bytes equal serialize_chunk for the same windows.
+class ChunkWriter {
+ public:
+  static constexpr usize kBufferBytes = usize{256} << 10;
+
+  ChunkWriter();
+
+  // Writes `windows` (one per shard, at most two spans each, as read out of
+  // the log) as chunk `seq` at `path`, replacing any file there. Returns
+  // the chunk's size in bytes, or 0 on an I/O error or a tear. `tear` is
+  // the drain.chunk.torn fault: stop after half the payload, frame never
+  // written.
+  u64 write(const std::string& path, const LogHeader& session,
+            std::span<const LogWindow> windows, u32 seq, bool tear = false);
+
+ private:
+  std::unique_ptr<char[]> buf_;
+};
 
 // Verifies the frame and both CRCs. On success fills *seq and *payload (a
 // view into `bytes`) and returns true; on failure fills *error.

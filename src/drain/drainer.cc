@@ -1,5 +1,6 @@
 #include "drain/drainer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <vector>
@@ -61,19 +62,43 @@ bool Drainer::final_drain() {
 }
 
 void Drainer::run() {
+  // One round writes one chunk file. Draining every trickle as soon as it is
+  // published makes many small files, and each costs a create (and later a
+  // delete) on top of its bytes; a create alone can cost more than writing
+  // the bytes. So a round waits until some shard has three quarters of a
+  // round's cap reserved, or the poll interval has passed since the last
+  // round. A writer waits for space only when its shard is fully reserved,
+  // past that mark, so the wait never holds one up.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kNap = std::chrono::microseconds(50);
+  const auto poll = std::chrono::microseconds(opts_.poll_interval_us);
+  const u64 cap = log_->shard(0)->capacity;  // spill logs are sharded
+  const u64 mark = std::min(cap, opts_.chunk_entries) / 4 * 3;
+  Clock::time_point last_round = Clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
+    if (max_backlog() < mark && Clock::now() - last_round < poll) {
+      std::this_thread::sleep_for(kNap);
+      continue;
+    }
     bool idle = false;
     if (!round(&idle)) {
       dead_.store(true, std::memory_order_release);
       return;
     }
-    // Keep consuming back-to-back while there is backlog; sleep only when
-    // the published window was empty.
-    if (idle) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(opts_.poll_interval_us));
-    }
+    last_round = Clock::now();
+    if (idle) std::this_thread::sleep_for(poll);
   }
+}
+
+u64 Drainer::max_backlog() const {
+  u64 most = 0;
+  for (u32 s = 0; s < log_->shard_count(); ++s) {
+    const LogShard* sh = log_->shard(s);
+    u64 t = sh->tail.load(std::memory_order_acquire);
+    u64 d = sh->drained.load(std::memory_order_acquire);
+    if (t > d && t - d > most) most = t - d;
+  }
+  return most;
 }
 
 bool Drainer::round(bool* idle) {
@@ -83,9 +108,11 @@ bool Drainer::round(bool* idle) {
   // supervisor restarts us — the protocol must lose nothing either way.
   if (fault::fires(fault_points::kDrainDie)) return false;
 
+  // Each shard's consumable window [drained, published), capped per round,
+  // viewed in place as at most two spans. The writer copies out of these
+  // spans piecewise; it never checksums shm directly (see ChunkWriter).
   u32 nshards = log_->shard_count();
-  std::vector<ShardWindow> windows(nshards);
-  std::vector<u64> lens(nshards, 0);
+  std::vector<LogWindow> windows(nshards);
   u64 total = 0;
   for (u32 s = 0; s < nshards; ++s) {
     const LogShard* sh = log_->shard(s);
@@ -99,28 +126,21 @@ bool Drainer::round(bool* idle) {
     u64 start = d % cap;
     u64 head = cap - start < len ? cap - start : len;
     windows[s].start = d;
-    windows[s].entries.reserve(len);
-    windows[s].entries.insert(windows[s].entries.end(), seg + start,
-                              seg + start + head);
-    windows[s].entries.insert(windows[s].entries.end(), seg,
-                              seg + (len - head));
-    lens[s] = len;
+    windows[s].first = std::span<const LogEntry>(seg + start, head);
+    windows[s].second = std::span<const LogEntry>(seg, len - head);
     total += len;
   }
   if (total == 0) return true;
   *idle = false;
 
-  std::string chunk = serialize_chunk(*log_->header(), windows, seq_);
   // Fault point: dying mid-write, leaving a torn chunk on disk. The cursors
   // are not advanced and seq_ is not bumped, so a resumed drainer rewrites
   // the same chunk number and the window drains again — the loader never
   // has to trust a torn file that is followed by good ones.
   bool torn = fault::fires(fault_points::kDrainChunkTorn);
-  if (torn && chunk.size() > sizeof(ChunkFrame)) {
-    chunk.resize(sizeof(ChunkFrame) + (chunk.size() - sizeof(ChunkFrame)) / 2);
-  }
-  if (!write_file(chunk_path(opts_.prefix, seq_), chunk)) return false;
-  if (torn) return false;
+  u64 bytes = writer_.write(chunk_path(opts_.prefix, seq_), *log_->header(),
+                            windows, seq_, torn);
+  if (bytes == 0) return false;
 
   // Reclaim, per shard: zero the consumed slots first (restores the
   // tombstone invariant for the next lap), then advance the drain cursor —
@@ -128,18 +148,15 @@ bool Drainer::round(bool* idle) {
   // tolerates a concurrent writer force-advance (dead-drainer overflow
   // path): a cursor already at or past our target is never moved back.
   for (u32 s = 0; s < nshards; ++s) {
-    if (lens[s] == 0) continue;
+    const LogWindow& w = windows[s];
+    u64 len = w.size();
+    if (len == 0) continue;
     LogShard* sh = log_->shard(s);
-    u64 d = windows[s].start;
-    u64 len = lens[s];
-    u64 cap = sh->capacity;
-    LogEntry* seg = log_->entries() + sh->entry_offset;
-    u64 start = d % cap;
-    u64 head = cap - start < len ? cap - start : len;
-    std::memset(static_cast<void*>(seg + start), 0,
-                static_cast<usize>(head) * sizeof(LogEntry));
-    std::memset(static_cast<void*>(seg), 0,
-                static_cast<usize>(len - head) * sizeof(LogEntry));
+    u64 d = w.start;
+    for (std::span<const LogEntry> span : {w.first, w.second}) {
+      std::memset(static_cast<void*>(const_cast<LogEntry*>(span.data())), 0,
+                  span.size_bytes());
+    }
     u64 expect = d;
     while (expect < d + len &&
            !sh->drained.compare_exchange_weak(expect, d + len,
@@ -148,7 +165,7 @@ bool Drainer::round(bool* idle) {
     }
   }
   drained_entries_.fetch_add(total, std::memory_order_relaxed);
-  spilled_bytes_.fetch_add(chunk.size(), std::memory_order_relaxed);
+  spilled_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   chunks_.fetch_add(1, std::memory_order_relaxed);
   ++seq_;
   return true;

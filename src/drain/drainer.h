@@ -1,15 +1,17 @@
 // Host-side streaming drainer (DESIGN.md §10).
 //
 // Runs inside teeperf_record while the application executes. Each round it
-// snapshots every shard's published cursor, copies the consumable window
-// [drained, published) out of shared memory, persists it as a CRC-framed
-// chunk file, zeroes the consumed slots (restoring the tombstone invariant
-// for the next lap) and only then advances the shm-resident drain cursor —
-// which is what lets writers reclaim the space. Crash safety comes from the
+// snapshots every shard's published cursor, streams the consumable window
+// [drained, published) out of shared memory into a CRC-framed chunk file
+// (ChunkWriter: one bounded buffer, no per-round copy of the window),
+// zeroes the consumed slots (restoring the tombstone invariant for the next
+// lap) and only then advances the shm-resident drain cursor — which is what
+// lets writers reclaim the space. Crash safety comes from the
 // persist-before-advance order: a drainer death at any point loses no
 // entries, at worst it leaves a torn last chunk (overwritten on resume) or
 // a persisted-but-unadvanced window (deduplicated by the loader via the
-// absolute start cursors recorded in every chunk).
+// absolute start cursors recorded in every chunk). Chunks are not
+// fdatasync'ed, so this covers a process crash, not a host crash.
 #pragma once
 
 #include <atomic>
@@ -24,7 +26,8 @@ namespace teeperf::drain {
 struct DrainerOptions {
   std::string prefix;            // chunks land at "<prefix>.seg.NNNN"
   u64 chunk_entries = 1u << 15;  // per-shard consume cap per round/chunk
-  u64 poll_interval_us = 2000;   // idle sleep between rounds
+  u64 poll_interval_us = 2000;   // idle sleep between rounds; also the
+                                 // longest a small backlog waits for one
 };
 
 class Drainer {
@@ -75,6 +78,8 @@ class Drainer {
   // One consume cycle. Returns false when the drainer must die (fault
   // injection or I/O failure); *idle is set when nothing was consumable.
   bool round(bool* idle);
+  // The largest reserved-but-undrained window (tail - drained) of any shard.
+  u64 max_backlog() const;
 
   ProfileLog* log_;
   DrainerOptions opts_;
@@ -86,6 +91,7 @@ class Drainer {
   std::atomic<u64> chunks_{0};
   u32 seq_ = 0;  // next chunk number; owned by the drain thread between
                  // start/join boundaries
+  ChunkWriter writer_;  // its fixed buffer; same ownership as seq_
 };
 
 }  // namespace teeperf::drain

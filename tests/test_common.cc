@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/fileutil.h"
@@ -18,17 +19,49 @@ namespace {
 // --- crc32c -----------------------------------------------------------------
 
 TEST(Crc32c, KnownVectors) {
-  // RFC 3720 test vectors for CRC-32C.
-  u8 zeros[32] = {};
-  EXPECT_EQ(crc32c(zeros, 32), 0x8a9136aau);
+  // RFC 3720 test vectors for CRC-32C, on the dispatched path (hardware
+  // where the CPU has SSE4.2) and on the portable table path alike.
+  for (auto extend : {crc32c_extend, crc32c_extend_portable}) {
+    u8 zeros[32] = {};
+    EXPECT_EQ(extend(0, zeros, 32), 0x8a9136aau);
 
-  u8 ones[32];
-  std::fill(std::begin(ones), std::end(ones), 0xff);
-  EXPECT_EQ(crc32c(ones, 32), 0x62a8ab43u);
+    u8 ones[32];
+    std::fill(std::begin(ones), std::end(ones), 0xff);
+    EXPECT_EQ(extend(0, ones, 32), 0x62a8ab43u);
 
-  u8 inc[32];
-  for (int i = 0; i < 32; ++i) inc[i] = static_cast<u8>(i);
-  EXPECT_EQ(crc32c(inc, 32), 0x46dd794eu);
+    u8 inc[32];
+    for (int i = 0; i < 32; ++i) inc[i] = static_cast<u8>(i);
+    EXPECT_EQ(extend(0, inc, 32), 0x46dd794eu);
+
+    u8 dec[32];
+    for (int i = 0; i < 32; ++i) dec[i] = static_cast<u8>(31 - i);
+    EXPECT_EQ(extend(0, dec, 32), 0x113fdb5cu);
+
+    EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u);  // the check value
+  }
+}
+
+TEST(Crc32c, DispatchedMatchesPortable) {
+  // Random seeds, lengths 0..4 KiB and start offsets 0..63: misaligned
+  // heads and every byte-tail length on the 8-bytes-per-step path.
+  std::vector<u8> buf(4096 + 64);
+  Xorshift64 rng(0xc5c32cull);
+  for (u8& b : buf) b = static_cast<u8>(rng.next());
+  for (int i = 0; i < 5000; ++i) {
+    u32 seed = static_cast<u32>(rng.next());
+    usize off = static_cast<usize>(rng.next_below(64));
+    usize len = static_cast<usize>(rng.next_below(4097));
+    ASSERT_EQ(crc32c_extend(seed, buf.data() + off, len),
+              crc32c_extend_portable(seed, buf.data() + off, len))
+        << "seed " << seed << " off " << off << " len " << len;
+  }
+  for (usize len = 0; len <= 64; ++len) {
+    for (usize off = 0; off < 8; ++off) {
+      ASSERT_EQ(crc32c(buf.data() + off, len),
+                crc32c_extend_portable(0, buf.data() + off, len))
+          << "off " << off << " len " << len;
+    }
+  }
 }
 
 TEST(Crc32c, ExtendMatchesWholeBuffer) {

@@ -437,6 +437,222 @@ TEST(Drain, ChunkPathFormat) {
   EXPECT_EQ(drain::chunk_path("/a/b", 12345), "/a/b.seg.12345");
 }
 
+// --- streaming chunk writer ---------------------------------------------
+
+// Records `n` call/return entries for thread `tid` (shard tid % shards).
+void record_entries(ProfileLog& log, u64 tid, u64 n, u64 first_counter) {
+  LogBatch batch;
+  for (u64 i = 0; i < n; ++i) {
+    batch.record(log, i % 2 ? EventKind::kReturn : EventKind::kCall,
+                 0x4000 + tid, tid, first_counter + i);
+  }
+  batch.flush(log);
+}
+
+// The windows the next drain round consumes, copied: each shard's
+// [drained, tail) (writers have stopped, so tail == published). A shard with
+// nothing to consume is recorded with start 0, as the drainer writes it.
+std::vector<drain::ShardWindow> pending_windows(const ProfileLog& log) {
+  std::vector<drain::ShardWindow> windows(log.shard_count());
+  for (u32 s = 0; s < log.shard_count(); ++s) {
+    log.shard_snapshot(s, &windows[s].entries);
+    if (!windows[s].entries.empty()) {
+      windows[s].start = log.shard(s)->drained.load(std::memory_order_acquire);
+    }
+  }
+  return windows;
+}
+
+// Drains everything pending as chunk `seq` and checks the file holds exactly
+// serialize_chunk's bytes for the same windows.
+void expect_drained_chunk_matches(SpillLog& s, drain::Drainer& drainer,
+                                  const std::string& prefix, u32 seq) {
+  std::vector<drain::ShardWindow> windows = pending_windows(s.log);
+  std::string want = drain::serialize_chunk(*s.log.header(), windows, seq);
+  u64 chunks_before = drainer.stats().chunks;
+  ASSERT_TRUE(drainer.final_drain());
+  ASSERT_EQ(drainer.stats().chunks, chunks_before + 1);  // one round, one chunk
+  auto got = read_file(drain::chunk_path(prefix, seq));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), want.size());
+  EXPECT_TRUE(*got == want) << "chunk " << seq << " differs from serialize_chunk";
+}
+
+TEST(Drain, StreamedChunkEqualsSerializeChunkOneShard) {
+  std::string prefix = tmp_prefix("stream1");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/1024, /*shards=*/1);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  record_entries(s.log, /*tid=*/3, 700, 1);
+  expect_drained_chunk_matches(s, drainer, prefix, 0);
+  remove_session(prefix);
+}
+
+TEST(Drain, StreamedChunkEqualsSerializeChunkFourShardsSomeEmpty) {
+  // Shards 1 and 3 stay empty; shards 0 and 2 carry 6000 entries each, so
+  // the payload (~384 KB) crosses the writer's 256 KiB buffer mid-span.
+  std::string prefix = tmp_prefix("stream4");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/4 * 8192, /*shards=*/4);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  record_entries(s.log, /*tid=*/4, 6000, 1);
+  record_entries(s.log, /*tid=*/6, 6000, 1);
+  ASSERT_GT(6000 * 2 * sizeof(LogEntry), drain::ChunkWriter::kBufferBytes);
+  expect_drained_chunk_matches(s, drainer, prefix, 0);
+  // A second round with one new entry in a previously empty shard.
+  record_entries(s.log, /*tid=*/5, 1, 1);
+  expect_drained_chunk_matches(s, drainer, prefix, 1);
+  remove_session(prefix);
+}
+
+TEST(Drain, StreamedChunkEqualsSerializeChunkWrappedWindow) {
+  // The second round's window [200, 400) wraps past capacity 256: two spans.
+  std::string prefix = tmp_prefix("streamwrap");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/256, /*shards=*/1);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  record_entries(s.log, /*tid=*/1, 200, 1);
+  expect_drained_chunk_matches(s, drainer, prefix, 0);
+  record_entries(s.log, /*tid=*/1, 200, 201);
+  LogWindow w = s.log.window(0);
+  ASSERT_EQ(w.start, 200u);
+  ASSERT_EQ(w.first.size(), 56u);
+  ASSERT_EQ(w.second.size(), 144u);
+  expect_drained_chunk_matches(s, drainer, prefix, 1);
+  remove_session(prefix);
+}
+
+TEST(Drain, ArmedTornChunkIsUnparseableThenOverwrittenOnResume) {
+  // drain.chunk.torn stops the writer halfway through the payload, before
+  // the frame at offset 0 is written: the trailing chunk must not parse,
+  // the cursors must not move, and the resumed drainer rewrites the same
+  // chunk number whole.
+  std::string prefix = tmp_prefix("torn1");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/1024, /*shards=*/kShards);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  record_entries(s.log, /*tid=*/0, 300, 1);
+  record_entries(s.log, /*tid=*/1, 200, 1);
+  std::vector<drain::ShardWindow> windows = pending_windows(s.log);
+  {
+    fault::ScopedFault torn("drain.chunk.torn:nth=1");
+    EXPECT_FALSE(drainer.final_drain());
+  }
+  EXPECT_TRUE(drainer.dead());
+  auto raw = read_file(drain::chunk_path(prefix, 0));
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_GT(raw->size(), sizeof(drain::ChunkFrame));
+  EXPECT_FALSE(drain::parse_chunk(*raw, nullptr, nullptr, nullptr));
+  for (u32 sh = 0; sh < s.log.shard_count(); ++sh) {
+    EXPECT_EQ(s.log.shard(sh)->drained.load(std::memory_order_acquire), 0u)
+        << "shard " << sh;
+  }
+  int visited = 0;
+  EXPECT_EQ(drain::for_each_chunk(prefix,
+                                  [&](u32, std::string_view) {
+                                    ++visited;
+                                    return true;
+                                  }),
+            drain::ChunkScan::kDone);
+  EXPECT_EQ(visited, 0);  // a torn trailing chunk is skipped, not trusted
+
+  // Resume as a new incarnation would: the start() scan adopts chunk 0.
+  drain::Drainer resumed(&s.log, dopts);
+  ASSERT_TRUE(resumed.start());
+  resumed.stop();
+  ASSERT_TRUE(resumed.final_drain());
+  auto rewritten = read_file(drain::chunk_path(prefix, 0));
+  ASSERT_TRUE(rewritten.has_value());
+  EXPECT_TRUE(*rewritten == drain::serialize_chunk(*s.log.header(), windows, 0));
+  EXPECT_FALSE(file_exists(drain::chunk_path(prefix, 1)));
+  remove_session(prefix);
+}
+
+TEST(Drain, LiveDrainerBatchesSmallBacklogsIntoOneChunk) {
+  // A round is one chunk file, so a live drainer waits for three quarters
+  // of a round's cap (here 768 of 1024 entries) or the poll interval
+  // before writing one, instead of a file per published trickle.
+  std::string prefix = tmp_prefix("batch");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/1024, /*shards=*/1);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  dopts.chunk_entries = 1024;
+  dopts.poll_interval_us = 10'000'000;  // the mark alone must trigger
+  drain::Drainer drainer(&s.log, dopts);
+  ASSERT_TRUE(drainer.start());
+  record_entries(s.log, /*tid=*/1, 100, 1);
+  usleep(50'000);
+  EXPECT_EQ(drainer.stats().chunks, 0u);
+  EXPECT_EQ(drainer.stats().lag_entries, 100u);
+
+  record_entries(s.log, /*tid=*/1, 700, 101);
+  for (int i = 0; i < 5000 && drainer.stats().chunks == 0; ++i) usleep(1000);
+  EXPECT_EQ(drainer.stats().chunks, 1u);
+  EXPECT_GE(drainer.stats().drained_entries, 768u);
+  ASSERT_TRUE(drainer.final_drain());
+  EXPECT_EQ(drainer.stats().drained_entries, 800u);
+  EXPECT_LE(drainer.stats().chunks, 2u);
+  remove_session(prefix);
+}
+
+TEST(Drain, ForceAdvancingWritersNeverCorruptALiveChunk) {
+  // Writers with a tiny space-wait budget force-advance `drained` and store
+  // over windows the drainer is streaming out. The chunk CRC covers the
+  // drainer's private copy, so every chunk on disk verifies whatever the
+  // writers did to shm meanwhile — a checksum taken over shm could go
+  // stale and make the loader reject the session as corrupt. The overwrite
+  // races the drainer's copy by design (keep-newest), so ThreadSanitizer
+  // reports this test; it is not in the TSan CI set.
+  std::string prefix = tmp_prefix("forceadv");
+  remove_session(prefix);
+  ProfileLog::set_spill_wait_spins(64);
+  SpillLog s(/*capacity=*/2 * 512, /*shards=*/2);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  dopts.chunk_entries = 512;
+  dopts.poll_interval_us = 50;
+  drain::Drainer drainer(&s.log, dopts);
+  ASSERT_TRUE(drainer.start());
+  std::vector<std::thread> ws;
+  for (u64 t = 0; t < 4; ++t) {
+    ws.emplace_back([&s, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        record_entries(s.log, t, 2000, 1 + rep * 2000);
+      }
+    });
+  }
+  for (auto& th : ws) th.join();
+  ProfileLog::set_spill_wait_spins(u64{1} << 27);
+  ASSERT_TRUE(drainer.final_drain());
+  EXPECT_GT(s.log.dropped(), 0u) << "no writer force-advanced; the race was "
+                                    "not exercised";
+  ASSERT_GT(drainer.stats().chunks, 0u);
+
+  for (u32 seq = 0;; ++seq) {
+    auto raw = read_file(drain::chunk_path(prefix, seq));
+    if (!raw) {
+      EXPECT_EQ(seq, drainer.stats().chunks);
+      break;
+    }
+    std::string err;
+    EXPECT_TRUE(drain::parse_chunk(*raw, nullptr, nullptr, &err))
+        << "chunk " << seq << ": " << err;
+  }
+  EXPECT_EQ(drain::for_each_chunk(prefix,
+                                  [](u32, std::string_view) { return true; }),
+            drain::ChunkScan::kDone);
+  remove_session(prefix);
+}
+
 TEST(Drain, InitRejectsIllegalSpillCombos) {
   std::vector<u8> buf(ProfileLog::bytes_for(1024, 2));
   ProfileLog log;

@@ -260,10 +260,15 @@ TEST_F(RecorderTest, SoftwareCounterCalibratedAtDetach) {
          monotonic_ns() < deadline) {
     std::this_thread::yield();
   }
-  // Reference rate over ~20 ms of the session, read from the outside.
+  // Reference rate read from the outside over the window the recorder
+  // calibrates on: the counter's run (from its first visible tick) up to
+  // detach. With a yielding counter on a loaded host the word advances in
+  // scheduler-quantum bursts, so the window must also be long enough that
+  // the unobservable edges (thread start-up, detach) stay a few quanta —
+  // far under the 20% bound.
   u64 c0 = h->counter.load(std::memory_order_relaxed);
   u64 t0 = monotonic_ns();
-  while (monotonic_ns() - t0 < 20'000'000ull) {
+  while (monotonic_ns() - t0 < 100'000'000ull) {
     TEEPERF_SCOPE("calib::tick");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
