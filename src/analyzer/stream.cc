@@ -59,6 +59,24 @@ const std::string& StreamAnalyzer::cached_name(ShardState& sh,
   return it->second;
 }
 
+u64 StreamAnalyzer::child_of(ShardState& sh, u64 parent, u64 method) {
+  // A loop calls the same callee over and over: check the parent's last
+  // entered child before the index. Node indices are u64, so the tree can
+  // hold one node per call entry of any input the loader accepts.
+  u64 memo = sh.nodes[parent].last_child;
+  if (memo != kNoNode && sh.nodes[memo].method == method) return memo;
+  auto [it, fresh] =
+      sh.children.try_emplace(ChildKey{parent, method}, sh.nodes.size());
+  if (fresh) {
+    Node n;
+    n.method = method;
+    n.parent = parent;
+    sh.nodes.push_back(n);
+  }
+  sh.nodes[parent].last_child = it->second;
+  return it->second;
+}
+
 void StreamAnalyzer::close_top(ShardState& sh, ThreadState& t,
                                u64 end_counter) {
   Frame f = t.open.back();
@@ -68,22 +86,12 @@ void StreamAnalyzer::close_top(ShardState& sh, ThreadState& t,
   u64 incl = end - f.start;
   u64 excl = f.children <= incl ? incl - f.children : 0;
 
-  MethodAgg& ma = sh.methods[f.method];
-  ++ma.count;
-  ma.inclusive_total += incl;
-  ma.exclusive_total += excl;
-  ma.min_inclusive = std::min(ma.min_inclusive, incl);
-  ma.max_inclusive = std::max(ma.max_inclusive, incl);
-
-  EdgeAgg& ea = sh.edges[EdgeKey{f.from_root ? 0 : f.parent_method, f.method,
-                                 f.from_root}];
-  ++ea.count;
-  ea.inclusive_total += incl;
-
-  // t.path currently ends with this frame's name — it IS the root→self
-  // folded path; record it, then truncate back to the parent's path.
-  if (excl > 0) sh.folded[t.path] += excl;
-  t.path.resize(f.path_len);
+  Node& n = sh.nodes[f.node];
+  ++n.count;
+  n.inclusive_total += incl;
+  n.exclusive_total += excl;
+  n.min_inclusive = std::min(n.min_inclusive, incl);
+  n.max_inclusive = std::max(n.max_inclusive, incl);
 
   // The frame below is still open (pops go top-down), so its children sum
   // accumulates exactly as the parent Invocation's would in build().
@@ -103,19 +111,16 @@ void StreamAnalyzer::feed(u32 shard, const LogEntry* entries, u64 n) {
       ++sh.recon.tombstones;
       continue;
     }
-    ThreadState& t = sh.threads[e.tid];
+    if (!sh.current || e.tid != sh.current_tid) {
+      sh.current = &sh.threads[e.tid];  // map nodes never move
+      sh.current_tid = e.tid;
+    }
+    ThreadState& t = *sh.current;
     t.last_counter = e.counter();
 
     if (e.kind() == EventKind::kCall) {
-      Frame f;
-      f.method = e.addr;
-      f.start = e.counter();
-      f.from_root = t.open.empty();
-      f.parent_method = f.from_root ? 0 : t.open.back().method;
-      f.path_len = t.path.size();
-      if (!t.open.empty()) t.path += ';';
-      t.path += cached_name(sh, e.addr);
-      t.open.push_back(f);
+      u64 parent = t.open.empty() ? kRoot : t.open.back().node;
+      t.open.push_back({child_of(sh, parent, e.addr), e.addr, e.counter(), 0});
       continue;
     }
 
@@ -156,6 +161,62 @@ void StreamAnalyzer::feed_dump(const ParsedDump& dump) {
   });
 }
 
+void StreamAnalyzer::fold_shard(ShardState& sh, MergeableProfile* m) const {
+  const std::vector<Node>& nodes = sh.nodes;
+
+  // Methods by name, edges by the parent node's method name (or root).
+  // Keying by name here, not per event, is what adds up distinct ids that
+  // share a name.
+  for (usize i = 1; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    MprofMethod& mm = m->methods[cached_name(sh, n.method)];
+    mm.id = std::min(mm.id, n.method);
+    mm.count += n.count;
+    mm.inclusive_total += n.inclusive_total;
+    mm.exclusive_total += n.exclusive_total;
+    mm.min_inclusive = std::min(mm.min_inclusive, n.min_inclusive);
+    mm.max_inclusive = std::max(mm.max_inclusive, n.max_inclusive);
+    bool from_root = n.parent == kRoot;
+    MprofEdge& me = m->edges[MprofEdgeKey{
+        from_root ? std::string() : cached_name(sh, nodes[n.parent].method),
+        cached_name(sh, n.method), from_root}];
+    me.count += n.count;
+    me.inclusive_total += n.inclusive_total;
+  }
+
+  // Folded stacks: a depth-first walk keeps one rolling path string, so
+  // each node's root→self path is built once, from its parent's, and only
+  // a node with exclusive time records it. Nodes with the same path (ids
+  // sharing names) add up in the map.
+  std::vector<u64> first_child(nodes.size(), kNoNode);
+  std::vector<u64> next_sibling(nodes.size(), kNoNode);
+  for (usize i = nodes.size(); i-- > 1;) {
+    next_sibling[i] = first_child[nodes[i].parent];
+    first_child[nodes[i].parent] = i;
+  }
+  struct Visit {
+    u64 node;
+    usize parent_len;  // length of the parent's path
+  };
+  std::vector<Visit> todo;
+  for (u64 c = first_child[kRoot]; c != kNoNode; c = next_sibling[c]) {
+    todo.push_back({c, 0});
+  }
+  std::string path;
+  while (!todo.empty()) {
+    Visit v = todo.back();
+    todo.pop_back();
+    const Node& n = nodes[v.node];
+    path.resize(v.parent_len);
+    if (n.parent != kRoot) path += ';';
+    path += cached_name(sh, n.method);
+    if (n.exclusive_total > 0) m->stacks[path] += n.exclusive_total;
+    for (u64 c = first_child[v.node]; c != kNoNode; c = next_sibling[c]) {
+      todo.push_back({c, path.size()});
+    }
+  }
+}
+
 MergeableProfile StreamAnalyzer::finish() {
   MergeableProfile m;
   m.sessions = 1;
@@ -181,24 +242,7 @@ MergeableProfile StreamAnalyzer::finish() {
     m.stats.tombstones += sh.recon.tombstones;
     // tid % shard_count confines a thread to one shard: disjoint, sums exactly.
     m.stats.thread_count += sh.threads.size();
-
-    for (auto& [id, agg] : sh.methods) {
-      MprofMethod& mm = m.methods[cached_name(sh, id)];
-      mm.id = std::min(mm.id, id);
-      mm.count += agg.count;
-      mm.inclusive_total += agg.inclusive_total;
-      mm.exclusive_total += agg.exclusive_total;
-      mm.min_inclusive = std::min(mm.min_inclusive, agg.min_inclusive);
-      mm.max_inclusive = std::max(mm.max_inclusive, agg.max_inclusive);
-    }
-    for (auto& [key, agg] : sh.edges) {
-      MprofEdgeKey k{key.from_root ? std::string() : cached_name(sh, key.caller),
-                     cached_name(sh, key.callee), key.from_root};
-      MprofEdge& me = m.edges[std::move(k)];
-      me.count += agg.count;
-      me.inclusive_total += agg.inclusive_total;
-    }
-    for (auto& [path, ticks] : sh.folded) m.stacks[path] += ticks;
+    fold_shard(sh, &m);
   }
   return m;
 }
@@ -210,26 +254,13 @@ std::optional<MergeableProfile> StreamAnalyzer::analyze_spill(
   StreamAnalyzer sa(std::move(symbols));
   SpillStitcher st;
 
-  // One dump at a time: collect the stitcher's deduplicated spans (views
-  // into the dump, alive for this call), then aggregate them in parallel —
-  // each span is a distinct shard, so the workers share nothing.
-  struct Span {
-    u32 shard;
-    const LogEntry* entries;
-    u64 n;
-  };
-  auto absorb = [&](const ParsedDump& pd) -> bool {
-    std::vector<Span> spans;
-    if (!st.absorb(pd, [&](u32 s, const LogEntry* e, u64 n) {
-          spans.push_back({s, e, n});
-        })) {
-      return false;
-    }
-    sa.ensure_shards(st.shard_count());
-    run_parallel(spans.size(), [&](usize i) {
-      sa.feed(spans[i].shard, spans[i].entries, spans[i].n);
+  // One dump at a time, each deduplicated span fed as the stitcher yields
+  // it (a view into the dump, alive for this call). Spawning workers per
+  // chunk would cost more than reconstructing the chunk.
+  auto absorb = [&](const ParsedDump& pd) {
+    return st.absorb(pd, [&](u32 s, const LogEntry* e, u64 n) {
+      sa.feed(s, e, n);
     });
-    return true;
   };
 
   bool bad = false;

@@ -7,15 +7,19 @@
 // over the chunk sequence, holding only:
 //
 //   - per-shard open-invocation stacks (bounded by live call depth),
-//   - rolling per-method / per-edge / folded-stack aggregates
-//     (bounded by the number of *distinct* methods, edges and paths),
+//   - a per-shard calling-context tree: one node per distinct call path,
+//     carrying that path's count / inclusive / exclusive / min / max
+//     (bounded by the number of *distinct* paths),
 //   - one chunk file at a time.
 //
-// No Invocation is ever materialized. Shards aggregate in parallel (a
-// thread's entries are confined to one shard, and every aggregate is a
-// sum/min/max, so worker scheduling cannot change the result); finish()
-// folds shards in directory order into a MergeableProfile. The result is
-// held byte-identical to MergeableProfile::from_profile(Profile::load(...))
+// No Invocation is ever materialized, and the per-event work is integer
+// updates: a call is one child lookup in the tree, a return updates its
+// node. Names appear only in finish(), which derives the method, edge and
+// folded-stack tables from the nodes and folds shards in directory order
+// into a MergeableProfile. The shards of one dump reconstruct in parallel
+// (a thread's entries are confined to one shard, and every aggregate is a
+// sum/min/max, so worker scheduling cannot change the result). The result
+// is held byte-identical to MergeableProfile::from_profile(Profile::load(...))
 // by the differential tests in tests/test_analyze_stream.cc.
 #pragma once
 
@@ -65,25 +69,17 @@ class StreamAnalyzer {
       const std::string& prefix, std::string* error = nullptr);
 
  private:
-  // One open invocation. `path_len` is the thread's folded-path length
-  // *before* this frame's name was appended — truncating back to it on
-  // close keeps one rolling string per thread instead of one per frame.
-  struct Frame {
+  static constexpr u64 kRoot = 0;      // node 0: the shard's sentinel root
+  static constexpr u64 kNoNode = ~0ull;
+
+  // One calling-context-tree node: a distinct root→self call path of one
+  // shard, with the aggregates of every invocation that ran on it. Nodes
+  // are appended on first entry, so a parent's index is below its
+  // children's.
+  struct Node {
     u64 method = 0;
-    u64 start = 0;
-    u64 children = 0;
-    u64 parent_method = 0;
-    bool from_root = false;
-    usize path_len = 0;
-  };
-
-  struct ThreadState {
-    std::vector<Frame> open;
-    std::string path;  // names of open frames joined by ';'
-    u64 last_counter = 0;
-  };
-
-  struct MethodAgg {
+    u64 parent = kRoot;
+    u64 last_child = kNoNode;  // memo: the child most recently entered
     u64 count = 0;
     u64 inclusive_total = 0;
     u64 exclusive_total = 0;
@@ -91,33 +87,44 @@ class StreamAnalyzer {
     u64 max_inclusive = 0;
   };
 
-  struct EdgeKey {
-    u64 caller = 0;
-    u64 callee = 0;
-    bool from_root = false;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    usize operator()(const EdgeKey& k) const {
-      return std::hash<u64>{}(k.caller * 1099511628211ull ^ k.callee ^
-                              (k.from_root ? 0x9e37ull : 0));
-    }
+  // One open invocation. `method` duplicates the node's so the unwind scan
+  // on a return reads only the stack.
+  struct Frame {
+    u64 node = kRoot;
+    u64 method = 0;
+    u64 start = 0;
+    u64 children = 0;  // inclusive time of the closed callees
   };
 
-  struct EdgeAgg {
-    u64 count = 0;
-    u64 inclusive_total = 0;
+  struct ThreadState {
+    std::vector<Frame> open;
+    u64 last_counter = 0;
+  };
+
+  struct ChildKey {
+    u64 parent = 0;
+    u64 method = 0;
+    bool operator==(const ChildKey&) const = default;
+  };
+  struct ChildKeyHash {
+    usize operator()(const ChildKey& k) const {
+      return std::hash<u64>{}(k.parent * 1099511628211ull ^ k.method);
+    }
   };
 
   // All state one shard's reconstruction touches — disjoint across shards,
   // which is what makes parallel feeding safe without locks.
   struct ShardState {
+    ShardState() : nodes(1) {}
+    std::vector<Node> nodes;  // nodes[kRoot] is the sentinel
+    std::unordered_map<ChildKey, u64, ChildKeyHash> children;
     std::map<u64, ThreadState> threads;
-    std::unordered_map<u64, MethodAgg> methods;
-    std::unordered_map<EdgeKey, EdgeAgg, EdgeKeyHash> edges;
-    std::unordered_map<std::string, u64> folded;
-    // Method-id → name memo: one registry/symbol lookup per distinct method
-    // instead of one per call entry (the probe-rate hot path of analysis).
+    // The thread of the previous entry: batches keep one tid for up to 32
+    // entries, so the map is searched only when the tid changes.
+    ThreadState* current = nullptr;
+    u64 current_tid = 0;
+    // Method-id → name memo for finish(): one registry/symbol lookup per
+    // distinct method.
     std::unordered_map<u64, std::string> names;
     ReconstructionStats recon;
   };
@@ -127,8 +134,12 @@ class StreamAnalyzer {
   std::string name_of(u64 method) const {
     return resolve_name(symbols_, method);
   }
+  // The node for `method` called under node `parent`, created on first sight.
+  static u64 child_of(ShardState& sh, u64 parent, u64 method);
   // Closes the top frame of `t` at counter `end_counter`.
-  void close_top(ShardState& sh, ThreadState& t, u64 end_counter);
+  static void close_top(ShardState& sh, ThreadState& t, u64 end_counter);
+  // Derives the shard's methods, edges and folded stacks into `m`.
+  void fold_shard(ShardState& sh, MergeableProfile* m) const;
 
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unordered_map<u64, std::string> symbols_;

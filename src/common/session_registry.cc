@@ -102,28 +102,50 @@ bool parse_number(std::string_view json, std::string_view key, u64* out) {
   return any;
 }
 
-// Parses "teeperf.<pid>.<nonce>.log|.obs" (no leading slash); returns the
-// owner pid, or 0 when the name is not in the session-shm scheme. Only
-// names in this exact shape are GC candidates — legacy or foreign
-// "/teeperf.*" segments are never touched.
-u64 session_shm_pid(std::string_view shm_file) {
-  if (!starts_with(shm_file, "teeperf.")) return 0;
-  if (!ends_with(shm_file, ".log") && !ends_with(shm_file, ".obs")) return 0;
+// Parses "teeperf.<pid>.<nonce>.log|.obs" (no leading slash) into the
+// owner pid and the nonce's hex digits; false when the name is not in the
+// session-shm scheme. Only names in this exact shape are GC candidates —
+// legacy or foreign "/teeperf.*" segments are never touched.
+bool parse_session_shm(std::string_view shm_file, u64* pid,
+                       std::string_view* nonce) {
+  if (!starts_with(shm_file, "teeperf.")) return false;
+  if (!ends_with(shm_file, ".log") && !ends_with(shm_file, ".obs")) return false;
   std::string_view rest = shm_file.substr(8, shm_file.size() - 8 - 4);
   usize dot = rest.find('.');
   if (dot == std::string_view::npos || dot == 0 || dot + 1 >= rest.size()) {
-    return 0;
+    return false;
   }
-  u64 pid = 0;
+  u64 p = 0;
   for (char c : rest.substr(0, dot)) {
-    if (c < '0' || c > '9') return 0;
-    pid = pid * 10 + static_cast<u64>(c - '0');
+    if (c < '0' || c > '9') return false;
+    p = p * 10 + static_cast<u64>(c - '0');
   }
   for (char c : rest.substr(dot + 1)) {  // nonce: lowercase hex only
     bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!hex) return 0;
+    if (!hex) return false;
   }
-  return pid;
+  *pid = p;
+  *nonce = rest.substr(dot + 1);
+  return p != 0;
+}
+
+// The owner pid of a session-shm name, or 0 when it is not one.
+u64 session_shm_pid(std::string_view shm_file) {
+  u64 pid = 0;
+  std::string_view nonce;
+  return parse_session_shm(shm_file, &pid, &nonce) ? pid : 0;
+}
+
+// FNV-1a of the dir path without trailing slashes, folded to 32 bits: the
+// high half of every nonce made for `dir`.
+u64 dir_tag(std::string_view dir) {
+  while (dir.size() > 1 && dir.back() == '/') dir.remove_suffix(1);
+  u64 h = 0xcbf29ce484222325ull;
+  for (char c : dir) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return (h ^ (h >> 32)) & 0xffffffffull;
 }
 
 }  // namespace
@@ -134,7 +156,7 @@ std::string registry_dir() {
   return "/tmp/teeperf-sessions";
 }
 
-u64 make_nonce() {
+u64 make_nonce(const std::string& dir) {
   static std::atomic<u64> counter{0};
   u64 seq = counter.fetch_add(1, std::memory_order_relaxed);
   // splitmix64 over (time, pid, sequence) — well spread without needing a
@@ -143,12 +165,12 @@ u64 make_nonce() {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return dir_tag(dir) << 32 | ((x ^ (x >> 31)) & 0xffffffffull);
 }
 
 std::string shm_base(u64 pid, u64 nonce) {
-  return str_format("/teeperf.%llu.%08llx", static_cast<unsigned long long>(pid),
-                    static_cast<unsigned long long>(nonce & 0xffffffffull));
+  return str_format("/teeperf.%llu.%016llx", static_cast<unsigned long long>(pid),
+                    static_cast<unsigned long long>(nonce));
 }
 
 std::string to_json(const SessionDescriptor& d) {
@@ -269,13 +291,20 @@ GcResult gc_stale_sessions(const std::string& dir) {
 
   // Pass 2: orphaned segments with no descriptor (a session killed between
   // shm creation and publish). Only the exact "teeperf.<pid>.<nonce>.*"
-  // shape is considered, and only when that pid is dead.
+  // shape is considered, only when the nonce was made for this dir, and
+  // only when that pid is dead.
   DIR* shm_dir = ::opendir("/dev/shm");
   if (shm_dir) {
+    std::string own_tag =
+        str_format("%08llx", static_cast<unsigned long long>(dir_tag(dir)));
     std::vector<std::string> orphans;
     while (struct dirent* ent = ::readdir(shm_dir)) {
-      u64 pid = session_shm_pid(ent->d_name);
-      if (pid != 0 && !pid_alive(pid)) orphans.emplace_back(ent->d_name);
+      u64 pid = 0;
+      std::string_view nonce;
+      if (parse_session_shm(ent->d_name, &pid, &nonce) && nonce.size() == 16 &&
+          starts_with(nonce, own_tag) && !pid_alive(pid)) {
+        orphans.emplace_back(ent->d_name);
+      }
     }
     ::closedir(shm_dir);
     for (const std::string& name : orphans) {

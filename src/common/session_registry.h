@@ -40,13 +40,17 @@ struct SessionDescriptor {
 // "/tmp/teeperf-sessions".
 std::string registry_dir();
 
-// A nonce unique enough to never collide on one host: time-derived and
-// process-locally sequenced. Combined with the pid in shm_base() it gives
-// each session its own shm namespace even across pid reuse.
-u64 make_nonce();
+// A nonce for a session registered in `dir`. The low 32 bits are unique
+// enough to never collide on one host (time-derived, process-locally
+// sequenced); combined with the pid in shm_base() they give each session
+// its own shm namespace even across pid reuse. The high 32 bits are a hash
+// of `dir` (trailing '/' ignored), so a segment's name says which registry
+// dir it was created for, with no file written to record it.
+u64 make_nonce(const std::string& dir);
 
-// "/teeperf.<pid>.<nonce-hex>" — the session's shm base name; the log
-// segment is "<base>.log" and the telemetry segment "<base>.obs".
+// "/teeperf.<pid>.<nonce-hex>" — the session's shm base name (the nonce as
+// 16 hex digits); the log segment is "<base>.log" and the telemetry segment
+// "<base>.obs".
 std::string shm_base(u64 pid, u64 nonce);
 
 // One-line JSON serialization and its tolerant inverse (unknown keys are
@@ -70,8 +74,10 @@ bool pid_alive(u64 pid);
 // the shm segments they name), drops unparseable descriptor files, and
 // sweeps /dev/shm for orphaned "teeperf.<pid>.<nonce>.{log,obs}" segments
 // whose embedded pid is dead — a crashed session leaves no descriptor only
-// when it died between shm creation and publish. Segments named by a live
-// process are never touched.
+// when it died between shm creation and publish. The sweep takes only
+// segments whose nonce carries `dir`'s hash: one dir's GC never reclaims
+// another dir's (another tenant's) crash evidence. Segments named by a
+// live process are never touched.
 struct GcResult {
   u32 descriptors = 0;  // stale descriptor files removed
   u32 segments = 0;     // orphaned shm segments unlinked

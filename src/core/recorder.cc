@@ -57,13 +57,17 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
   bool ok;
   if (options.shm_name == "auto") {
     // Fresh multi-session name "/teeperf.<pid>.<nonce>.log"; the nonce
-    // makes concurrent sessions (and pid reuse) collision-free. create() is
+    // makes concurrent sessions (and pid reuse) collision-free, and names
+    // the registry dir whose GC may reclaim the segments. create() is
     // O_EXCL, so a nonce collision just retries with a new one.
+    std::string dir = options.session_dir.empty()
+                          ? session_registry::registry_dir()
+                          : options.session_dir;
     ok = false;
     for (int attempt = 0; attempt < 4 && !ok; ++attempt) {
       rec->options_.shm_name =
           session_registry::shm_base(static_cast<u64>(getpid()),
-                                     session_registry::make_nonce()) +
+                                     session_registry::make_nonce(dir)) +
           ".log";
       ok = rec->shm_.create(rec->options_.shm_name, bytes);
     }

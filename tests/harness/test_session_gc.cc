@@ -11,7 +11,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <dirent.h>
+
 #include <string>
+#include <vector>
 
 #include "common/fileutil.h"
 #include "common/session_registry.h"
@@ -29,6 +32,20 @@ bool shm_exists(const std::string& name) {
     return true;
   }
   return false;
+}
+
+// Every /dev/shm session segment whose name embeds `pid`.
+std::vector<std::string> segments_of(pid_t pid) {
+  std::vector<std::string> out;
+  std::string stem = "teeperf." + std::to_string(pid) + ".";
+  DIR* d = opendir("/dev/shm");
+  if (!d) return out;
+  while (dirent* ent = readdir(d)) {
+    std::string name = ent->d_name;
+    if (name.compare(0, stem.size(), stem) == 0) out.push_back("/" + name);
+  }
+  closedir(d);
+  return out;
 }
 
 }  // namespace
@@ -106,4 +123,43 @@ TEST(SessionGc, LiveSessionSurvivesSweep) {
   // Clean destruction withdraws the descriptor without needing GC.
   rec.reset();
   EXPECT_TRUE(session_registry::list_sessions(dir).empty());
+}
+
+TEST(SessionGc, OrphansSurviveAnotherDirsSweep) {
+  // A session created for dir A that dies before publishing leaves only
+  // its segments. GC of an unrelated dir B (another tenant, or a parallel
+  // test) must leave them as evidence; GC of A reclaims them.
+  std::string dir_a = make_temp_dir("teeperf_sga_");
+  std::string dir_b = make_temp_dir("teeperf_sgb_");
+
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    RecorderOptions opts;
+    opts.shm_name = "auto";
+    opts.session_dir = dir_a;
+    opts.publish_session = false;
+    opts.max_entries = 4096;
+    auto rec = Recorder::create(opts);
+    _exit(rec ? 0 : 4);  // no destructor: the segments stay linked
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  std::vector<std::string> orphans = segments_of(child);
+  ASSERT_EQ(orphans.size(), 2u) << "expected the .log and .obs segments";
+  EXPECT_TRUE(session_registry::list_sessions(dir_a).empty());
+
+  auto other = session_registry::gc_stale_sessions(dir_b);
+  EXPECT_EQ(other.segments, 0u);
+  for (const std::string& name : orphans) {
+    EXPECT_TRUE(shm_exists(name)) << name << " taken by another dir's GC";
+  }
+
+  auto own = session_registry::gc_stale_sessions(dir_a);
+  EXPECT_GE(own.segments, 2u);
+  for (const std::string& name : orphans) EXPECT_FALSE(shm_exists(name)) << name;
+  for (const std::string& name : orphans) shm_unlink(name.c_str());
 }

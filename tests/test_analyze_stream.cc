@@ -350,6 +350,252 @@ TEST(AnalyzeStream, RejectionParityWithInMemoryLoader) {
   remove_session(prefix);
 }
 
+// ------------------------------------------ calling-context-tree edge cases
+// The streaming pass reconstructs into a per-shard calling-context tree and
+// names nothing until finish(); these inputs aim at what that could get
+// wrong. Each is analyzed twice — as one v2 dump, and as a spill chunk
+// sequence cut into at most ~40 chunks (at least 7 entries each) so open
+// frames straddle chunks — and both must equal the in-memory reference to
+// the byte.
+
+using ShardStreams = std::vector<std::vector<LogEntry>>;  // per shard, in order
+
+LogEntry event(EventKind kind, u64 addr, u64 tid, u64 counter) {
+  LogEntry e{};
+  e.kind_and_counter = LogEntry::pack(kind, counter);
+  e.addr = addr;
+  e.tid = tid;
+  return e;
+}
+
+void write_dump_session(const std::string& prefix, const ShardStreams& streams) {
+  u64 longest = 0;
+  for (const auto& s : streams) longest = std::max<u64>(longest, s.size());
+  u32 shards = static_cast<u32>(streams.size());
+  // Capacity is split evenly across shards.
+  std::vector<u8> buf(ProfileLog::bytes_for(longest * shards, shards));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(buf.data(), buf.size(), /*pid=*/1,
+                       log_flags::kMultithread, shards));
+  for (u32 s = 0; s < shards; ++s) {
+    // append_batch routes by its tid argument and stores entries verbatim,
+    // so every shard receives exactly its stream, mixed tids included.
+    for (usize i = 0; i < streams[s].size(); i += LogBatch::kCapacity) {
+      u32 n = static_cast<u32>(
+          std::min<usize>(LogBatch::kCapacity, streams[s].size() - i));
+      ASSERT_TRUE(log.append_batch(streams[s].data() + i, n, s));
+    }
+  }
+  ASSERT_TRUE(write_file(prefix + ".log", log.serialize_compact()));
+}
+
+void write_chunked_session(const std::string& prefix,
+                           const ShardStreams& streams, u64 per_chunk) {
+  LogHeader session{};
+  session.magic = kLogMagic;
+  session.version = kLogVersionSharded;
+  u64 longest = 0;
+  for (const auto& s : streams) longest = std::max<u64>(longest, s.size());
+  for (u32 seq = 0; u64{seq} * per_chunk < longest; ++seq) {
+    std::vector<drain::ShardWindow> windows(streams.size());
+    for (usize s = 0; s < streams.size(); ++s) {
+      u64 start = std::min<u64>(u64{seq} * per_chunk, streams[s].size());
+      u64 end = std::min<u64>(start + per_chunk, streams[s].size());
+      windows[s].start = start;
+      windows[s].entries.assign(streams[s].begin() + static_cast<i64>(start),
+                                streams[s].begin() + static_cast<i64>(end));
+    }
+    ASSERT_TRUE(write_file(drain::chunk_path(prefix, seq),
+                           drain::serialize_chunk(session, windows, seq)));
+  }
+}
+
+// Analyzes `streams` (with `sym` as the .sym file, when non-empty) through
+// both pipelines, as a dump and as a chunk sequence; returns the streamed
+// profile of the dump for case-specific checks.
+MergeableProfile expect_cct_differential(const char* name,
+                                         const ShardStreams& streams,
+                                         const std::string& sym = {}) {
+  SCOPED_TRACE(name);
+  std::string prefix = tmp_prefix(name);
+  remove_session(prefix);
+  if (!sym.empty()) {
+    EXPECT_TRUE(write_file(prefix + ".sym", sym));
+  }
+
+  write_dump_session(prefix, streams);
+  std::string err;
+  auto dumped = StreamAnalyzer::analyze(prefix, &err);
+  EXPECT_TRUE(dumped.has_value()) << err;
+  std::string ref = reference_bytes(prefix);
+  EXPECT_EQ(dumped ? dumped->save() : std::string(), ref);
+  remove_session(prefix);
+
+  u64 longest = 0;
+  for (const auto& st : streams) longest = std::max<u64>(longest, st.size());
+  write_chunked_session(prefix, streams, std::max<u64>(7, longest / 40));
+  auto chunked = StreamAnalyzer::analyze_spill(prefix, &err);
+  EXPECT_TRUE(chunked.has_value()) << err;
+  std::string chunked_ref = reference_bytes(prefix);
+  EXPECT_EQ(chunked ? chunked->save() : std::string(), chunked_ref);
+  // Cutting the streams into chunks changes nothing but where they are cut.
+  EXPECT_EQ(chunked_ref, ref);
+  remove_session(prefix);
+  std::remove((prefix + ".sym").c_str());
+  return dumped ? std::move(*dumped) : MergeableProfile{};
+}
+
+TEST(AnalyzeStream, CctIdsSharingANameAddUp) {
+  // 0x10 and 0x20 are both "dup": on the same path (main;dup twice, from
+  // different ids) and on different paths (main;dup vs main;helper;dup),
+  // nested in each other, and as thread roots. Shard 1 adds one more 0x20
+  // under a method whose symbol is empty, so the higher id arrives last
+  // and the folded path starts with a separator.
+  constexpr u64 kMain = 0x1, kHelper = 0x2, kDupA = 0x10, kDupB = 0x20,
+                kBlank = 0x30;
+  std::string sym = "1\tmain\n2\thelper\n16\tdup\n32\tdup\n48\t\n";
+  ShardStreams streams(2);
+  u64 c = 1;
+  u32 shard = 0;
+  auto call = [&](u64 m) {
+    streams[shard].push_back(event(EventKind::kCall, m, 6 + shard, c));
+    c += 3;
+  };
+  auto ret = [&](u64 m) {
+    streams[shard].push_back(event(EventKind::kReturn, m, 6 + shard, c));
+    c += 2;
+  };
+  call(kMain);
+  call(kDupA), ret(kDupA);
+  call(kDupB), ret(kDupB);
+  call(kHelper), call(kDupB), call(kDupA), ret(kDupA), ret(kDupB), ret(kHelper);
+  call(kDupA), call(kDupB), ret(kDupB), ret(kDupA);
+  ret(kMain);
+  call(kDupB), ret(kDupB);
+  call(kDupA), ret(kDupA);
+  shard = 1;
+  call(kBlank), call(kDupB), ret(kDupB), ret(kBlank);
+
+  MergeableProfile m = expect_cct_differential("samename", streams, sym);
+  ASSERT_EQ(m.methods.count("dup"), 1u);
+  EXPECT_EQ(m.methods.at("dup").count, 9u);
+  EXPECT_EQ(m.methods.at("dup").id, kDupA);  // the minimum contributing id
+  EXPECT_EQ(m.edges.at({"main", "dup", false}).count, 3u);
+  EXPECT_EQ(m.edges.at({"dup", "dup", false}).count, 2u);
+  EXPECT_EQ(m.edges.at({"", "dup", true}).count, 2u);
+  EXPECT_EQ(m.stacks.count("main;dup"), 1u);
+  EXPECT_EQ(m.stacks.count("main;helper;dup;dup"), 1u);
+  EXPECT_EQ(m.stacks.count(";dup"), 1u);
+}
+
+TEST(AnalyzeStream, CctDeepRecursion) {
+  // 12,000 nested calls of one method. Time advances only every 1,000
+  // levels, so a handful of depths carry exclusive time and the folded
+  // paths stay small enough to compare.
+  constexpr u64 kDepth = 12000;
+  constexpr u64 kRec = 0x40;
+  std::vector<LogEntry> s;
+  u64 c = 10;
+  for (u64 d = 0; d < kDepth; ++d) {
+    if (d % 1000 == 0) c += 5;
+    s.push_back(event(EventKind::kCall, kRec, 3, c));
+  }
+  c += 7;
+  for (u64 d = 0; d < kDepth; ++d) s.push_back(event(EventKind::kReturn, kRec, 3, c));
+
+  MergeableProfile m = expect_cct_differential("deep", {s}, "64\tr\n");
+  EXPECT_EQ(m.methods.at("r").count, kDepth);
+  EXPECT_EQ(m.edges.at({"r", "r", false}).count, kDepth - 1);
+  EXPECT_EQ(m.stacks.size(), kDepth / 1000);  // 11 steps below, 1 leaf
+  EXPECT_EQ(m.stats.incomplete, 0u);
+}
+
+TEST(AnalyzeStream, CctWideFanOutOfRawAddresses) {
+  // One parent calls 10,000 distinct unsymbolized callees, then repeats
+  // every tenth: past the last-child memo, every call is an index lookup.
+  constexpr u64 kFan = 10000;
+  std::vector<LogEntry> s;
+  u64 c = 1;
+  s.push_back(event(EventKind::kCall, 0x1, 9, c++));
+  for (u64 pass = 0; pass < 2; ++pass) {
+    for (u64 i = 0; i < kFan; i += pass == 0 ? 1 : 10) {
+      s.push_back(event(EventKind::kCall, 0x100000 + i, 9, c++));
+      s.push_back(event(EventKind::kReturn, 0x100000 + i, 9, c += 1 + i % 3));
+    }
+  }
+  s.push_back(event(EventKind::kReturn, 0x1, 9, c++));
+
+  MergeableProfile m = expect_cct_differential("wide", {s});
+  EXPECT_EQ(m.methods.size(), kFan + 1);
+  EXPECT_EQ(m.stacks.size(), kFan + 1);
+}
+
+TEST(AnalyzeStream, CctTwoTidsInterleavedInOneShardWithRepairs) {
+  // Tids 2 and 4 share shard 0 of two (tid % 2), alternating in runs of
+  // uneven length, sharing call paths, with a stray return, mismatched
+  // returns and an unwind on the way. Shard 1 holds a third thread.
+  ShardStreams streams(2);
+  u64 c = 1;
+  auto run = [&](u64 tid, std::initializer_list<std::pair<EventKind, u64>> evs) {
+    for (auto [kind, addr] : evs) streams[0].push_back(event(kind, addr, tid, c++));
+  };
+  constexpr auto kC = EventKind::kCall, kR = EventKind::kReturn;
+  run(4, {{kR, 0x9}});  // stray: tid 4 has nothing open
+  for (u64 round = 0; round < 40; ++round) {
+    run(2, {{kC, 0x1}, {kC, 0x2}, {kR, 0x2}, {kC, 0x3}});
+    run(4, {{kC, 0x1}, {kC, 0x3}, {kR, 0x7}, {kR, 0x3}, {kC, 0x2}});  // 0x7: mismatched
+    run(2, {{kC, 0x4}, {kR, 0x4}, {kR, 0x3}, {kR, 0x1}});
+    run(4, {{kC, 0x4}, {kR, 0x1}});  // unwinds 0x4 and 0x2
+  }
+  u64 d = 1;
+  for (u64 i = 0; i < 50; ++i) {
+    streams[1].push_back(event(kC, 0x1, 5, d++));
+    streams[1].push_back(event(kC, 0x2 + i % 2, 5, d += 2));
+    streams[1].push_back(event(kR, 0x2 + i % 2, 5, d++));
+    streams[1].push_back(event(kR, 0x1, 5, d++));
+  }
+
+  MergeableProfile m = expect_cct_differential("interleaved", streams);
+  EXPECT_EQ(m.stats.thread_count, 3u);
+  EXPECT_EQ(m.stats.stray_returns, 1u);
+  EXPECT_EQ(m.stats.mismatched_returns, 40u);
+  EXPECT_EQ(m.stats.unwound_frames, 80u);
+  EXPECT_EQ(m.stats.incomplete, 0u);
+}
+
+TEST(AnalyzeStream, CctUnwindAndOpenFramesAwayFromTheMemo) {
+  // Tids 1 and 3 share shard 0 and the main→{a,b} nodes. Tid 1 enters a
+  // then tid 3 enters b, so main's last-child memo names b when tid 1
+  // unwinds out of a (return of main) and again when tid 1's re-entered a
+  // and its callee are closed as incomplete at the end of the log.
+  constexpr auto kC = EventKind::kCall, kR = EventKind::kReturn;
+  constexpr u64 kMain = 0x1, kA = 0x2, kB = 0x3, kLeaf = 0x4;
+  std::vector<LogEntry> s;
+  u64 c = 1;
+  auto ev = [&](EventKind k, u64 addr, u64 tid) {
+    s.push_back(event(k, addr, tid, c));
+    c += 4;
+  };
+  ev(kC, kMain, 1);
+  ev(kC, kA, 1);
+  ev(kC, kLeaf, 1);
+  ev(kC, kMain, 3);
+  ev(kC, kB, 3);
+  ev(kR, kMain, 1);  // unwinds leaf and a; memo on main is b
+  ev(kC, kMain, 1);
+  ev(kC, kA, 1);
+  ev(kC, kLeaf, 1);
+  ev(kR, kB, 3);
+  ev(kC, kB, 3);  // memo back on b; tid 1's a and leaf stay open
+  ev(kC, kLeaf, 3);
+
+  MergeableProfile m = expect_cct_differential("unwind_open", {s});
+  EXPECT_EQ(m.stats.unwound_frames, 2u);
+  EXPECT_EQ(m.stats.incomplete, 6u);
+  EXPECT_EQ(m.methods.at("0x2").count, 2u);
+  EXPECT_EQ(m.edges.at({"0x1", "0x3", false}).count, 2u);
+}
+
 // --------------------------------------------------------- bounded memory
 
 // Synthesizes a spill session far larger than any shm window directly as

@@ -275,8 +275,8 @@ int main(int argc, char** argv) {
   usize bytes =
       ProfileLog::bytes_for_replicated(max_entries, shard_count, replica_count);
   for (int attempt = 0; attempt < 4 && !shm.valid(); ++attempt) {
-    shm_base = session_registry::shm_base(static_cast<u64>(getpid()),
-                                          session_registry::make_nonce());
+    shm_base = session_registry::shm_base(
+        static_cast<u64>(getpid()), session_registry::make_nonce(session_dir));
     shm_name = shm_base + ".log";
     shm.create(shm_name, bytes);
   }
