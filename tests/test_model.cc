@@ -232,6 +232,70 @@ TEST(SpillModel, DeterministicAcrossRuns) {
   EXPECT_EQ(a.terminals, b.terminals);
 }
 
+// ---- Bounded and ring store policies (same model, no drainer) ----
+//
+// The writers never wait on each other or on a drainer, so every step is
+// always enabled; these configurations also run unreduced.
+
+TEST(StoreModel, BoundedKeepsThePrefixAndDropsTheOverflow) {
+  // Two writers, 5 entries through a 3-slot segment: in every schedule the
+  // window is [0, 3), each slot holds the entry reserved there, and the two
+  // positions past cap count exactly two drops. No step ever blocks, so
+  // all C(8,3) = 56 orders of the 5 + 3 writer steps run.
+  SpillLogModel m(StorePolicy::kBounded, {{{2, 1}}, {{2}}}, /*cap=*/3);
+  CheckResult r = check_spill(m);
+  EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.interleavings, 56u);
+}
+
+TEST(StoreModel, RingTwoWritersKeepTheNewestWindow) {
+  // Two writers through a 3-slot ring, every interleaving: drained ends at
+  // tail - cap, so the window is exactly the newest 3 reserved positions,
+  // and dropped stays 0 — a ring overwrite is not a drop.
+  for (const auto& cfg : std::vector<std::vector<WriterProgram>>{
+           {{{2, 1}}, {{2}}},
+           {{{1, 1, 1}}, {{1, 1}}},
+           {{{3}}, {{3}}},
+       }) {
+    SpillLogModel m(StorePolicy::kRing, cfg, /*cap=*/3);
+    CheckResult r = check_spill(m);
+    ASSERT_TRUE(r.ok) << r.violation;
+    EXPECT_GT(r.interleavings, 100u);
+  }
+}
+
+TEST(StoreModel, RingRunLongerThanTheSegmentKeepsItsNewestEntries) {
+  // A 4-entry run through a 3-slot ring stores only its newest 3.
+  SpillLogModel m(StorePolicy::kRing, {{{4}}, {{1}}}, /*cap=*/3);
+  CheckResult r = check_spill(m);
+  EXPECT_TRUE(r.ok) << r.violation;
+}
+
+TEST(StoreModel, RingCrashAtEveryStepKeepsTheCursorRule) {
+  // Truncate writer 0 after every prefix. Its advance runs before any
+  // store (where log.flush.die fires), so a writer killed after it still
+  // leaves its reserved run inside the window.
+  const std::vector<int> w0 = {2, 2};
+  const int w0_steps = 2 * 2 + 4;  // 2 reserves + 2 advances + 4 stores
+  for (int crash = 0; crash <= w0_steps; ++crash) {
+    SpillLogModel m(StorePolicy::kRing, {{w0, crash}, {{2}}}, /*cap=*/3);
+    CheckResult r = check_spill(m);
+    ASSERT_TRUE(r.ok) << "crash after " << crash << ": " << r.violation;
+  }
+}
+
+TEST(StoreModel, DetectsRingWrapWithoutAdvance) {
+  // Seeded bug: ring writers wrap but never move drained, so the window
+  // stays on the oldest lap.
+  SpillLogModel m(StorePolicy::kRing, {{{2, 1}}, {{2}}}, /*cap=*/3,
+                  SpillBug::kRingNoAdvance);
+  CheckResult r = check_spill(m);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.violation.find("newest cap reserved"), std::string::npos)
+      << r.violation;
+  EXPECT_FALSE(r.violating_trace.empty());
+}
+
 TEST(ModelChecker, DeterministicAcrossRuns) {
   ShmLogModel m({{{2, 3}, 3}, {{3, 1}}});
   CheckResult a = check(m);
