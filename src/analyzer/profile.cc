@@ -155,12 +155,7 @@ Profile Profile::build_sharded(const std::vector<std::span<const LogEntry>>& sha
       if (copy.parent >= 0) copy.parent += static_cast<i64>(base);
       merged.invocations_.push_back(copy);
     }
-    merged.recon_.entries += part.recon_.entries;
-    merged.recon_.stray_returns += part.recon_.stray_returns;
-    merged.recon_.mismatched_returns += part.recon_.mismatched_returns;
-    merged.recon_.unwound_frames += part.recon_.unwound_frames;
-    merged.recon_.incomplete += part.recon_.incomplete;
-    merged.recon_.tombstones += part.recon_.tombstones;
+    merged.recon_.add(part.recon_);
     // tid % shard_count confines a thread to one shard, so per-part thread
     // counts are disjoint and sum exactly.
     merged.thread_count_ += part.thread_count_;
@@ -408,12 +403,7 @@ std::optional<Profile> Profile::load_many(const std::vector<std::string>& prefix
       merged.invocations_.push_back(copy);
     }
 
-    merged.recon_.entries += prof->recon_.entries;
-    merged.recon_.stray_returns += prof->recon_.stray_returns;
-    merged.recon_.mismatched_returns += prof->recon_.mismatched_returns;
-    merged.recon_.unwound_frames += prof->recon_.unwound_frames;
-    merged.recon_.incomplete += prof->recon_.incomplete;
-    merged.recon_.tombstones += prof->recon_.tombstones;
+    merged.recon_.add(prof->recon_);
     merged.thread_count_ += prof->thread_count_;
     if (merged.ns_per_tick_ == 0.0) merged.ns_per_tick_ = prof->ns_per_tick_;
   }

@@ -57,6 +57,17 @@ struct ReconstructionStats {
   u64 incomplete = 0;        // invocations open at end of log
   u64 tombstones = 0;        // all-zero slots: reserved, never filled (dead writer)
   u64 entries = 0;           // log entries consumed
+
+  // Sums another reconstruction's counts into this one (merging shards or
+  // inputs).
+  void add(const ReconstructionStats& o) {
+    stray_returns += o.stray_returns;
+    mismatched_returns += o.mismatched_returns;
+    unwound_frames += o.unwound_frames;
+    incomplete += o.incomplete;
+    tombstones += o.tombstones;
+    entries += o.entries;
+  }
 };
 
 struct MethodStats {

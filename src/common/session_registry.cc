@@ -183,6 +183,7 @@ std::string to_json(const SessionDescriptor& d) {
   json_number(&out, "capacity", d.capacity);
   json_number(&out, "shards", d.shards);
   json_number(&out, "start_ns", d.start_ns);
+  if (d.pid_start) json_number(&out, "pid_start", d.pid_start);
   out.back() = '}';
   out += "\n";
   return out;
@@ -201,6 +202,7 @@ bool from_json(std::string_view json, SessionDescriptor* out) {
   u64 shards = 0;
   if (parse_number(json, "shards", &shards)) d.shards = static_cast<u32>(shards);
   parse_number(json, "start_ns", &d.start_ns);
+  parse_number(json, "pid_start", &d.pid_start);
   *out = std::move(d);
   return true;
 }
@@ -256,6 +258,35 @@ bool pid_alive(u64 pid) {
   return errno == EPERM;  // alive but not ours
 }
 
+u64 process_start_time(u64 pid) {
+  auto stat = read_file(str_format("/proc/%llu/stat",
+                                   static_cast<unsigned long long>(pid)));
+  if (!stat) return 0;
+  // "pid (comm) state ..." — comm may hold spaces and parentheses, so count
+  // fields from the last ')': state is field 3, starttime field 22.
+  usize paren = stat->rfind(')');
+  if (paren == std::string::npos) return 0;
+  std::vector<std::string_view> fields;
+  for (std::string_view f : split(std::string_view(*stat).substr(paren + 1), ' ')) {
+    if (!f.empty()) fields.push_back(f);
+  }
+  if (fields.size() < 20) return 0;
+  u64 start = 0;
+  for (char c : fields[19]) {
+    if (c < '0' || c > '9') return 0;
+    start = start * 10 + static_cast<u64>(c - '0');
+  }
+  return start;
+}
+
+bool owner_alive(const SessionDescriptor& d) {
+  if (!pid_alive(d.pid)) return false;
+  if (d.pid_start == 0) return true;
+  // A start time that cannot be read (no /proc) proves nothing either way.
+  u64 now = process_start_time(d.pid);
+  return now == 0 || now == d.pid_start;
+}
+
 GcResult gc_stale_sessions(const std::string& dir) {
   GcResult r;
   // Pass 1: descriptors. Dead owner → unlink the segments it names, then
@@ -274,7 +305,7 @@ GcResult gc_stale_sessions(const std::string& dir) {
       if (!text) continue;
       SessionDescriptor desc;
       bool parsed = from_json(*text, &desc) && file == desc.name + ".json";
-      if (parsed && pid_alive(desc.pid)) continue;
+      if (parsed && owner_alive(desc)) continue;
       if (parsed) {
         for (const std::string& shm : {desc.log_shm, desc.obs_shm}) {
           // Only unlink names the registry scheme could have produced —

@@ -34,6 +34,8 @@ struct SessionDescriptor {
   u64 capacity = 0;     // log capacity in entries
   u32 shards = 0;       // log shard count (0 = v1 single tail)
   u64 start_ns = 0;     // CLOCK_MONOTONIC at publish time
+  u64 pid_start = 0;    // owner's start time, process_start_time(pid);
+                        // 0 = not recorded
 };
 
 // $TEEPERF_SESSION_DIR, or the shared per-host default
@@ -69,6 +71,16 @@ bool unpublish_session(const std::string& dir, const std::string& name);
 std::vector<SessionDescriptor> list_sessions(const std::string& dir);
 
 bool pid_alive(u64 pid);
+
+// The start time of process `pid` (field 22 of /proc/<pid>/stat, in clock
+// ticks since boot), or 0 when it cannot be read. With the pid it names one
+// process: a recycled pid has a later start time.
+u64 process_start_time(u64 pid);
+
+// Whether the descriptor's owner still runs: its pid is alive and, when the
+// descriptor records one, has the same start time. Descriptors without
+// pid_start fall back to pid_alive alone.
+bool owner_alive(const SessionDescriptor& d);
 
 // Stale-session GC: removes descriptors whose owner pid is dead (unlinking
 // the shm segments they name), drops unparseable descriptor files, and

@@ -182,14 +182,12 @@ bool ProfileLog::adopt(void* buffer, usize size) {
 }
 
 bool ProfileLog::append(EventKind kind, u64 addr, u64 tid, u64 counter) {
-  if (shards_) {
-    LogEntry e;
-    e.kind_and_counter = LogEntry::pack(kind, counter);
-    e.addr = addr;
-    e.tid = tid;
-    e.reserved = 0;
-    return append_one(e, tid);
-  }
+  LogEntry e;
+  e.kind_and_counter = LogEntry::pack(kind, counter);
+  e.addr = addr;
+  e.tid = tid;
+  e.reserved = 0;
+  if (shards_) return store(shards_[tid % header_->shard_count], &e, 1);
   // v1: reserve first, then write: each slot is written exactly once even
   // under contention. Unfair access to the tail is harmless because only
   // per-thread ordering matters to the analyzer (§II-B).
@@ -210,210 +208,159 @@ bool ProfileLog::append(EventKind kind, u64 addr, u64 tid, u64 counter) {
   // is produced by the real production code path.
   if (fault::fires(fault_points::kLogAppendDie))
     raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  LogEntry& e = entries_[slot];
-  e.kind_and_counter = LogEntry::pack(kind, counter);
-  e.addr = addr;
-  e.tid = tid;
-  e.reserved = 0;
-  return true;
-}
-
-bool ProfileLog::append_one(const LogEntry& e, u64 tid) {
-  LogShard& sh = shards_[tid % header_->shard_count];
-  if (header_->flags.load(std::memory_order_relaxed) & log_flags::kSpillDrain) {
-    return spill_store(sh, &e, 1);
-  }
-  u64 slot = sh.tail.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= sh.capacity) {
-    if (header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer) {
-      slot %= sh.capacity;
-    } else {
-      sh.dropped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  }
-  if (fault::fires(fault_points::kLogAppendDie))
-    raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  entries_[sh.entry_offset + slot] = e;
+  entries_[slot] = e;
   return true;
 }
 
 bool ProfileLog::append_batch(const LogEntry* batch, u32 n, u64 tid) {
   if (n == 0) return true;
-  if (!shards_) {
-    // v1 has one shared tail; there is nothing a batch can amortize without
-    // breaking interleaved reservation, so publish entry by entry.
-    bool ok = true;
-    for (u32 i = 0; i < n; ++i) {
-      const LogEntry& e = batch[i];
-      ok &= append(e.kind(), e.addr, e.tid, e.counter());
-    }
-    return ok;
-  }
-  LogShard& sh = shards_[tid % header_->shard_count];
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (f & log_flags::kSpillDrain) return spill_store(sh, batch, n);
-  // One reservation covers the whole batch: this fetch-and-add is the only
-  // shared-memory RMW the hot path pays per kCapacity events.
-  u64 first = sh.tail.fetch_add(n, std::memory_order_relaxed);
-  // Fault point: the writer dying after reserving the run but before
-  // storing any of it — a batched flush can tear up to a whole batch of
-  // slots, which the analyzer's tombstone accounting must absorb.
-  if (fault::fires(fault_points::kLogFlushDie))
-    raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  bool ring = (f & log_flags::kRingBuffer) != 0;
-  LogEntry* seg = entries_ + sh.entry_offset;
-  u64 cap = sh.capacity;
-  if (!fault::Registry::instance().any_armed()) {
-    if (first + n <= cap) {
-      std::memcpy(seg + first, batch,
-                  static_cast<usize>(n) * sizeof(LogEntry));
-      return true;
-    }
-    if (ring && n <= cap) {
-      // A wrapped run still publishes as at most two memcpy spans. Gating
-      // the fast path on `first + n <= capacity` alone sent every flush
-      // after the first wrap down the per-entry modulo loop for the rest
-      // of the run — the tail only ever grows.
-      u64 start = first % cap;
-      u64 head = cap - start < n ? cap - start : n;
-      std::memcpy(seg + start, batch,
-                  static_cast<usize>(head) * sizeof(LogEntry));
-      if (head < n) {
-        std::memcpy(seg, batch + head,
-                    static_cast<usize>(n - head) * sizeof(LogEntry));
-      }
-      return true;
-    }
-    if (!ring) {
-      // Bounded log out of space: store what fits, count the rest.
-      u64 fit = first < cap ? cap - first : 0;
-      if (fit > 0) {
-        std::memcpy(seg + first, batch,
-                    static_cast<usize>(fit) * sizeof(LogEntry));
-      }
-      sh.dropped.fetch_add(n - fit, std::memory_order_relaxed);
-      return false;
-    }
-    // Ring run longer than the whole segment: fall through to the
-    // per-entry loop (degenerate; only the newest window survives anyway).
-  }
-  bool any_stored = false;
+  if (shards_) return store(shards_[tid % header_->shard_count], batch, n);
+  // v1 has one shared tail; there is nothing a batch can amortize without
+  // breaking interleaved reservation, so publish entry by entry.
+  bool ok = true;
   for (u32 i = 0; i < n; ++i) {
-    // Per-store fault point, same name and semantics as the unbatched path:
-    // a batch dying at its Nth store leaves the already-reserved remainder
-    // of the run as tombstones.
-    if (fault::fires(fault_points::kLogAppendDie))
-    raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-    u64 slot = first + i;
-    if (slot >= sh.capacity) {
-      if (ring) {
-        slot %= sh.capacity;
-      } else {
-        sh.dropped.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    seg[slot] = batch[i];
-    any_stored = true;
+    const LogEntry& e = batch[i];
+    ok &= append(e.kind(), e.addr, e.tid, e.counter());
   }
-  return any_stored && (ring || first + n <= sh.capacity);
+  return ok;
 }
 
-bool ProfileLog::spill_store(LogShard& sh, const LogEntry* batch, u32 n) {
-  u64 cap = sh.capacity;
-  if (n > cap) {
+bool ProfileLog::store(LogShard& sh, const LogEntry* run, u32 n) {
+  const u64 cap = sh.capacity;
+  const u64 f = header_->flags.load(std::memory_order_relaxed);
+  const bool spill = (f & log_flags::kSpillDrain) != 0;
+  if (spill && n > cap) {
     // A run larger than the whole segment can never have space; refuse it
     // outright rather than deadlocking on a wait that cannot succeed.
     sh.dropped.fetch_add(n, std::memory_order_relaxed);
     return false;
   }
-  u64 first = sh.tail.fetch_add(n, std::memory_order_relaxed);
-  // Fault point: same tear semantics as the bounded flush path — a writer
-  // dying here leaves the whole reserved run as tombstones.
+  // One reservation covers the whole run: this fetch-and-add is the only
+  // shared-memory RMW the hot path pays per flush.
+  const u64 first = sh.tail.fetch_add(n, std::memory_order_relaxed);
+  const u64 end = first + n;
+  u64 d = sh.drained.load(std::memory_order_acquire);
+  if (f & log_flags::kRingBuffer) {
+    // Ring rule: reclaim at once, no drop. The cursor moves before the
+    // fault point below, so a writer killed there still leaves its reserved
+    // run inside the window, as tombstones. CAS so a racing writer that
+    // advanced further is never rolled back.
+    while (end > d + cap) {
+      if (sh.drained.compare_exchange_weak(d, end - cap,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+        d = end - cap;
+      }
+    }
+  }
+  // Fault point: the writer dying after reserving the run but before
+  // storing any of it — a flush can tear up to a whole run of slots, which
+  // the analyzer's tombstone accounting must absorb.
   if (fault::fires(fault_points::kLogFlushDie))
     raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  // Space wait: the run may only be stored over slots the drainer has
-  // already consumed and zeroed, i.e. once first + n <= drained + capacity.
-  // If the drainer is dead or hopelessly behind, the spin budget runs out
-  // and the writer force-advances the drain cursor itself: the oldest
-  // undrained entries are sacrificed (keep-newest policy) and every
-  // discarded slot is accounted as dropped. CAS so a racing force-advance
-  // or a revived drainer is never rolled back.
-  u64 budget = g_spill_wait_spins.load(std::memory_order_relaxed);
-  u64 d = sh.drained.load(std::memory_order_acquire);
-  while (first + n > d + cap) {
-    if (budget == 0) {
-      u64 target = first + n - cap;
-      if (sh.drained.compare_exchange_strong(d, target,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-        sh.dropped.fetch_add(target - d, std::memory_order_relaxed);
-        d = target;
+  if (spill) {
+    // Spill rule: the run may only be stored over slots the drainer has
+    // already consumed and zeroed. If the drainer is dead or hopelessly
+    // behind, the spin budget runs out and the writer force-advances the
+    // cursor itself: the oldest undrained entries are sacrificed (keep-
+    // newest) and every discarded slot is accounted as dropped.
+    u64 budget = g_spill_wait_spins.load(std::memory_order_relaxed);
+    while (end > d + cap) {
+      if (budget == 0) {
+        if (sh.drained.compare_exchange_strong(d, end - cap,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+          sh.dropped.fetch_add(end - cap - d, std::memory_order_relaxed);
+          d = end - cap;
+        }
+        budget = g_spill_wait_spins.load(std::memory_order_relaxed);
+        continue;
       }
-      budget = g_spill_wait_spins.load(std::memory_order_relaxed);
-      continue;
+      --budget;
+      d = sh.drained.load(std::memory_order_acquire);
     }
-    --budget;
-    d = sh.drained.load(std::memory_order_acquire);
   }
-  // Store modulo capacity: at most two spans, same shape as the ring path.
+  // What the window [d, d + cap) holds of the run: all of it for ring and
+  // spill (a ring run longer than the segment keeps its newest cap
+  // entries), the prefix below cap for a bounded log, which never reclaims.
+  const u64 lo = first > d ? first : d;
+  const u64 hi = end < d + cap ? end : d + cap;
   LogEntry* seg = entries_ + sh.entry_offset;
-  u64 start = first % cap;
-  u64 head = cap - start < n ? cap - start : n;
-  std::memcpy(seg + start, batch, static_cast<usize>(head) * sizeof(LogEntry));
-  if (head < n) {
-    std::memcpy(seg, batch + head,
-                static_cast<usize>(n - head) * sizeof(LogEntry));
+  if (!spill && fault::Registry::instance().any_armed()) {
+    for (u32 i = 0; i < n; ++i) {
+      // Per-store fault point, same name and semantics as the v1 append: a
+      // run dying at its Nth store leaves the already-reserved remainder of
+      // the run as tombstones.
+      if (fault::fires(fault_points::kLogAppendDie))
+        raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
+      if (first + i >= lo && first + i < hi) seg[(first + i) % cap] = run[i];
+    }
+  } else if (hi > lo) {
+    // Modulo capacity: at most two memcpy spans.
+    const LogEntry* src = run + (lo - first);
+    u64 len = hi - lo;
+    u64 start = lo % cap;
+    u64 head = cap - start < len ? cap - start : len;
+    std::memcpy(seg + start, src, static_cast<usize>(head) * sizeof(LogEntry));
+    if (head < len) {
+      std::memcpy(seg, src + head,
+                  static_cast<usize>(len - head) * sizeof(LogEntry));
+    }
   }
-  // In-order publish: wait for every earlier reservation to commit, then
-  // release this run. Commit order == reservation order is what makes
-  // [drained, published) a contiguous fully-stored window the drainer can
-  // consume while the application keeps writing.
-  while (sh.published.load(std::memory_order_acquire) != first) {
+  if (spill) {
+    // In-order publish: wait for every earlier reservation to commit, then
+    // release this run. Commit order == reservation order is what makes
+    // [drained, published) a contiguous fully-stored window the drainer can
+    // consume while the application keeps writing. Only the drainer reads
+    // `published`, so bounded and ring writers never wait here.
+    while (sh.published.load(std::memory_order_acquire) != first) {
+    }
+    // Fault point: dying between store and publish — the run (and
+    // everything reserved after it) stays unpublished and surfaces as
+    // tombstones in the final residue, never as a torn chunk.
+    if (fault::fires(fault_points::kLogAppendDie))
+      raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
+    sh.published.store(end, std::memory_order_release);
+    return true;
   }
-  // Fault point: dying between store and publish — the run (and everything
-  // reserved after it) stays unpublished and surfaces as tombstones in the
-  // final residue, never as a torn chunk.
-  if (fault::fires(fault_points::kLogAppendDie))
-    raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  sh.published.store(first + n, std::memory_order_release);
-  return true;
+  // Bounded rule: whatever lies past the window's end is dropped.
+  const u64 over = end - (hi > first ? hi : first);
+  if (over > 0) sh.dropped.fetch_add(over, std::memory_order_relaxed);
+  return over == 0;
 }
 
 LogWindow ProfileLog::window(u32 s) const {
   LogWindow w;
   if (!header_) return w;
   const LogEntry* seg = entries_;
-  u64 tail = 0;
+  u64 lo = 0;
+  u64 hi = 0;
   u64 cap = 0;
+  // The window in absolute slot numbers, [lo, hi); slot a lives at
+  // seg[a % cap].
   if (shards_) {
     if (s >= header_->shard_count) return w;
+    // v2, every policy: [drained, min(tail, drained + cap)). A bounded log
+    // never moves drained; ring writers and the spill drainer do.
     const LogShard& sh = shards_[s];
     seg = entries_ + sh.entry_offset;
-    tail = sh.tail.load(std::memory_order_acquire);
     cap = sh.capacity;
+    lo = sh.drained.load(std::memory_order_acquire);
+    hi = sh.tail.load(std::memory_order_acquire);
+    if (hi > lo + cap) hi = lo + cap;
   } else {
+    // v1: a bounded log holds [0, min(tail, cap)), a wrapped ring the
+    // newest capacity-sized window [tail - cap, tail).
     if (s != 0) return w;
-    tail = header_->tail.load(std::memory_order_acquire);
     cap = header_->max_entries;
+    hi = header_->tail.load(std::memory_order_acquire);
+    if (header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer) {
+      if (hi > cap) lo = hi - cap;
+    } else if (hi > cap) {
+      hi = cap;
+    }
   }
   if (cap == 0) return w;
-  // The window in absolute slot numbers, [lo, hi); slot a lives at
-  // seg[a % cap]. Bounded logs hold [0, min(tail, cap)); a wrapped ring
-  // holds the newest capacity-sized window [tail - cap, tail); a spill log
-  // holds the undrained residue [drained, min(tail, drained + cap)).
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  u64 lo = 0;
-  u64 hi = tail;
-  if (shards_ && (f & log_flags::kSpillDrain)) {
-    lo = shards_[s].drained.load(std::memory_order_acquire);
-    if (hi > lo + cap) hi = lo + cap;
-  } else if (f & log_flags::kRingBuffer) {
-    if (tail > cap) lo = tail - cap;
-  } else if (hi > cap) {
-    hi = cap;
-  }
   w.start = lo;
   if (hi <= lo) return w;
   u64 len = hi - lo;
@@ -527,6 +474,28 @@ bool ProfileLog::write_compact(const std::string& path) const {
   std::vector<std::string_view> parts;
   compact_parts(&header, &dir, &parts);
   return write_file_parts(path, parts);
+}
+
+bool ProfileLog::dumps_compact() const {
+  return shards_ || ((flags() & log_flags::kRingBuffer) &&
+                     header_->tail.load(std::memory_order_acquire) >
+                         header_->max_entries);
+}
+
+std::string_view ProfileLog::raw_dump() const {
+  usize bytes =
+      sizeof(LogHeader) + static_cast<usize>(size()) * sizeof(LogEntry);
+  return std::string_view(reinterpret_cast<const char*>(header_), bytes);
+}
+
+bool ProfileLog::write_dump(const std::string& path) const {
+  if (!header_) return false;
+  return dumps_compact() ? write_compact(path) : write_file(path, raw_dump());
+}
+
+std::string ProfileLog::dump_bytes() const {
+  if (!header_) return {};
+  return dumps_compact() ? serialize_compact() : std::string(raw_dump());
 }
 
 u64 ProfileLog::size() const {

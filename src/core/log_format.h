@@ -45,7 +45,11 @@ inline constexpr u64 kActive = 1ull << 0;         // measurement currently on
 inline constexpr u64 kRecordCalls = 1ull << 1;    // record function entries
 inline constexpr u64 kRecordReturns = 1ull << 2;  // record function exits
 inline constexpr u64 kMultithread = 1ull << 16;   // entries carry thread ids
-inline constexpr u64 kRingBuffer = 1ull << 17;    // wrap instead of dropping
+// Reclaim policy when a run does not fit the window (DESIGN.md §8). Neither
+// flag: bounded, the overflow is dropped.
+inline constexpr u64 kRingBuffer = 1ull << 17;    // keep the newest window: v2
+                                                  // writers advance `drained`
+                                                  // themselves (not a drop)
 inline constexpr u64 kSpillDrain = 1ull << 18;    // a host-side drainer reclaims
                                                   // consumed windows (src/drain);
                                                   // v2 only, excludes kRingBuffer
@@ -129,16 +133,22 @@ struct alignas(64) LogShard {
   u64 entry_offset = 0;            // segment start, as an entry-array index
   u64 capacity = 0;                // segment length in entries
   std::atomic<u64> tail{0};        // slots reserved (may run past capacity)
-  std::atomic<u64> dropped{0};     // appends refused when full (non-ring)
-  // Spill-drain cursor pair (kSpillDrain, DESIGN.md §10). Absolute entry
-  // counts, like tail; the segment is addressed modulo capacity and the
-  // live window is [drained, tail):
-  //   published — contiguous prefix fully stored: writers commit their runs
-  //               in reservation order, so [drained, published) is safe for
+  std::atomic<u64> dropped{0};     // entries lost, not stored: a bounded
+                                   // run's overflow, a spill force-advance
+                                   // or an oversized spill run. A ring
+                                   // overwrite is not a drop.
+  // Cursors, absolute entry counts like tail; the segment is addressed
+  // modulo capacity and the window is [drained, min(tail, drained + cap)):
+  //   published — spill only (kSpillDrain, DESIGN.md §10): the contiguous
+  //               prefix fully stored. Spill writers commit their runs in
+  //               reservation order, so [drained, published) is safe for
   //               the drainer to consume while the application runs.
-  //   drained   — entries the host-side drainer has consumed (spilled to a
-  //               chunk file and zeroed); writers reuse the space, which is
-  //               what makes session length unbounded.
+  //   drained   — the window's start. Stays 0 in a bounded log; a ring
+  //               writer advances it to tail - capacity as it wraps; in a
+  //               spill log it counts the entries the host-side drainer has
+  //               consumed (spilled to a chunk file and zeroed), and writers
+  //               reuse the space, which is what makes session length
+  //               unbounded.
   // In serialized compact dumps/chunks `drained` is repurposed to carry the
   // window's absolute start cursor, so the multi-chunk loader can stitch
   // and deduplicate; `published` is kept 0 on disk.
@@ -181,8 +191,9 @@ static_assert(sizeof(CounterReplicaSlot) == 64);
 // One shard's written window as it sits in the log (DESIGN.md §8), oldest→
 // newest: at most two spans, the second non-empty only when a ring or spill
 // window wraps past the end of its segment. `start` is the absolute stream
-// cursor of the window's first entry: `drained` for spill logs, `tail -
-// capacity` for a wrapped ring, else 0.
+// cursor of the window's first entry: the shard's `drained` in v2 (0 until
+// a ring wraps or a drainer consumes), `tail - capacity` for a wrapped v1
+// ring, else 0.
 // teeperf-lint: allow(r3): process-local view into the log, not shm-resident
 struct LogWindow {
   std::span<const LogEntry> first;
@@ -214,17 +225,17 @@ class ProfileLog {
   // or a v2 shard directory points outside the region.
   bool adopt(void* buffer, usize size);
 
-  // Lock-free append (§II-B stage #2): reserves a slot via fetch-and-add —
-  // on the global tail (v1) or on the tid's shard tail (v2) — then writes
-  // the entry. Returns false (and counts a drop) when full — unless
-  // kRingBuffer is set, in which case the slot wraps and the oldest entry
-  // is overwritten (long-running sessions keep the newest window).
+  // Lock-free append (§II-B stage #2). v1 reserves a slot via fetch-and-add
+  // on the global tail, then writes the entry: when full it returns false
+  // and counts a drop, unless kRingBuffer is set, in which case the slot
+  // wraps and the oldest entry is overwritten. v2 builds the entry and
+  // stores it as a run of one in the tid's shard, under that log's policy.
   bool append(EventKind kind, u64 addr, u64 tid, u64 counter);
 
-  // Batched publication (v2): reserves `n` slots in the tid's shard with a
-  // single fetch-and-add, then stores all entries (memcpy when the run does
-  // not wrap). All entries must carry the same tid. On a v1 log this
-  // degrades to n individual appends. Returns false if any entry dropped.
+  // Batched publication (v2): stores `n` entries in the tid's shard with a
+  // single reservation. All entries must carry the same tid. On a v1 log
+  // this degrades to n individual appends. Returns false if any entry
+  // dropped.
   bool append_batch(const LogEntry* batch, u32 n, u64 tid);
 
   // The one ordered view of the log. window(s) is shard `s`'s written
@@ -260,6 +271,14 @@ class ProfileLog {
   // them: the rewritten header and directory, then every window's spans
   // straight out of the log, in one gathered write. False on I/O failure.
   bool write_compact(const std::string& path) const;
+
+  // The session dump. v2 and wrapped v1 rings dump in compact form; any
+  // other v1 log dumps the raw region prefix, header plus entries
+  // [0, size()). write_dump writes it straight out of the log (false on
+  // I/O failure); dump_bytes builds the same bytes in memory, for callers
+  // that must mangle a copy rather than the live log.
+  bool write_dump(const std::string& path) const;
+  std::string dump_bytes() const;
 
   bool valid() const { return header_ != nullptr; }
   bool sharded() const { return shards_ != nullptr; }
@@ -360,12 +379,18 @@ class ProfileLog {
   u64 shard_torn_tail(u32 s, u64 scan = 64) const;
 
  private:
-  bool append_one(const LogEntry& e, u64 tid);
+  // The one v2 store (DESIGN.md §8): reserves [first, first + n) in `sh`
+  // with one tail fetch-and-add. Where the run does not fit the window
+  // [drained, drained + capacity), the log's policy applies — bounded drops
+  // the overflow, ring advances `drained` at once, spill waits for the
+  // drainer and then force-advances. The part inside the window is stored
+  // modulo capacity in at most two memcpy spans; spill then publishes it in
+  // reservation order via `sh.published`. False if any entry dropped.
+  bool store(LogShard& sh, const LogEntry* run, u32 n);
 
-  // Spill-mode store: reserves `n` slots in `sh`, waits for the drainer to
-  // reclaim enough space, stores the run modulo capacity (at most two
-  // spans), then publishes it in reservation order via `sh.published`.
-  bool spill_store(LogShard& sh, const LogEntry* batch, u32 n);
+  // True when the dump is compact; else raw_dump() is the dump.
+  bool dumps_compact() const;
+  std::string_view raw_dump() const;
 
   // The compact dump as pieces: `*header` and `*dir` receive the rewritten
   // header and directory, `*parts` views them followed by the windows'

@@ -122,6 +122,7 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
     desc.capacity = options.max_entries;
     desc.shards = rec->log_.shard_count();
     desc.start_ns = monotonic_ns();
+    desc.pid_start = session_registry::process_start_time(desc.pid);
     rec->session_dir_ = options.session_dir.empty()
                             ? session_registry::registry_dir()
                             : options.session_dir;
@@ -196,17 +197,7 @@ bool Recorder::attach() {
         [mode, header] { return read_counter(mode, header); },
         counter_mode_name(mode), wopts);
     watchdog_->watch_log([this] {
-      obs::LogSample s;
-      s.tail = log_.attempted();
-      s.capacity = log_.capacity();
-      s.active = log_.active();
-      s.ring = (log_.flags() & log_flags::kRingBuffer) != 0;
-      s.spill = log_.spill();
-      s.dropped = log_.dropped();
-      for (u32 i = 0; i < log_.shard_count(); ++i) {
-        s.shard_tails.push_back(
-            log_.shard(i)->tail.load(std::memory_order_relaxed));
-      }
+      obs::LogSample s = sample_log(log_);
       if (s.spill && drain_sampler_) {
         DrainSample d = drain_sampler_();
         s.drain_lag = d.lag_entries;
@@ -329,36 +320,15 @@ bool Recorder::dump(const std::string& prefix) {
   // Fault point: the dump failing outright (disk full, signal mid-exit).
   if (fault::fires(fault_points::kDumpFail)) return false;
 
-  u64 tail = log_.header()->tail.load(std::memory_order_acquire);
-  bool wrapped = (log_.flags() & log_flags::kRingBuffer) &&
-                 (log_.sharded() || tail > log_.capacity());
-  bool armed = fault::Registry::instance().any_armed();
-  if (log_.sharded() || wrapped) {
-    // Sharded (v2) or wrapped-ring logs persist in compact form: windows
-    // packed back-to-back, ring order normalized, directory rewritten — so
-    // the analyzer's offline loader needs no wrap or gap logic. The windows
-    // go to disk straight out of shm; only an armed fault needs the
-    // serialized copy, so the torn/bit-flip faults mangle the file, never
-    // the live log.
-    if (!armed) {
-      if (!log_.write_compact(prefix + ".log")) return false;
-    } else {
-      std::string out = log_.serialize_compact();
-      fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-      if (!write_file(prefix + ".log", out)) return false;
-    }
+  // The dump goes to disk straight out of shm; only an armed fault needs
+  // the serialized copy, so the torn/bit-flip faults mangle the file, never
+  // the live log.
+  if (!fault::Registry::instance().any_armed()) {
+    if (!log_.write_dump(prefix + ".log")) return false;
   } else {
-    u64 n = log_.size();
-    usize bytes = sizeof(LogHeader) + static_cast<usize>(n) * sizeof(LogEntry);
-    std::string_view raw(static_cast<const char*>(shm_.data()), bytes);
-    if (armed) {
-      // Same rule as above: copy so the faults mangle the file only.
-      std::string out(raw);
-      fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-      if (!write_file(prefix + ".log", out)) return false;
-    } else if (!write_file(prefix + ".log", raw)) {
-      return false;
-    }
+    std::string out = log_.dump_bytes();
+    fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
+    if (!write_file(prefix + ".log", out)) return false;
   }
 
   // Self-telemetry sidecars: the health snapshot embedded in analyzer
@@ -379,6 +349,20 @@ bool Recorder::dump(const std::string& prefix) {
   // addresses recorded via the -finstrument-functions route. dladdr plays
   // the role of the paper's addr2line/DWARF lookup (see DESIGN.md).
   return write_file(prefix + ".sym", build_symbol_file(log_));
+}
+
+obs::LogSample sample_log(const ProfileLog& log) {
+  obs::LogSample s;
+  s.tail = log.attempted();
+  s.capacity = log.capacity();
+  s.active = log.active();
+  s.ring = (log.flags() & log_flags::kRingBuffer) != 0;
+  s.spill = log.spill();
+  s.dropped = log.dropped();
+  for (u32 i = 0; i < log.shard_count(); ++i) {
+    s.shard_tails.push_back(log.shard(i)->tail.load(std::memory_order_relaxed));
+  }
+  return s;
 }
 
 }  // namespace teeperf

@@ -180,4 +180,8 @@ class Recorder {
   std::optional<double> ns_per_tick_;  // calibrated at the last detach
 };
 
+// The log's side of a watchdog sample: attempted and dropped entries,
+// capacity, flags and shard tails. Owners add their drainer's fields.
+obs::LogSample sample_log(const ProfileLog& log);
+
 }  // namespace teeperf

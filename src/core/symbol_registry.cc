@@ -34,13 +34,15 @@ std::string SymbolRegistry::name_of(u64 id) const {
   if (!is_registered_id(id)) return {};
   std::lock_guard<std::mutex> lock(mu_);
   u64 index = id & ~kRegisteredBit;
-  return index < names_.size() ? names_[index] : std::string{};
+  if (index >= names_.size() || !usable_name(names_[index])) return {};
+  return names_[index];
 }
 
 std::string SymbolRegistry::serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (usize i = 0; i < names_.size(); ++i) {
+    if (!usable_name(names_[i])) continue;
     out += str_format("%llu\t", static_cast<unsigned long long>(kRegisteredBit | i));
     out += names_[i];
     out += '\n';
@@ -57,7 +59,8 @@ std::unordered_map<u64, std::string> SymbolRegistry::parse(std::string_view text
     u64 id = 0;
     auto [ptr, ec] = std::from_chars(line.data(), line.data() + tab, id);
     if (ec != std::errc{} || ptr != line.data() + tab) continue;
-    out.emplace(id, std::string(line.substr(tab + 1)));
+    std::string_view name = line.substr(tab + 1);
+    if (usable_name(name)) out.emplace(id, std::string(name));
   }
   return out;
 }

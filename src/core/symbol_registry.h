@@ -32,12 +32,20 @@ class SymbolRegistry {
   // Interns `name`, returning a stable id (same name → same id).
   u64 intern(std::string_view name);
 
-  // Name for a registered id; empty if unknown.
+  // Name for a registered id; empty if unknown or not a usable_name().
   std::string name_of(u64 id) const;
+
+  // Whether `name` can name a method: non-empty, and free of the ';' that
+  // joins folded-stack frames and the '\n' that ends a .sym line. The
+  // analyzer names any other method by its hex address; parse() drops such
+  // lines and serialize() never writes them.
+  static bool usable_name(std::string_view name) {
+    return !name.empty() && name.find_first_of(";\n") == std::string_view::npos;
+  }
 
   static bool is_registered_id(u64 addr) { return (addr & kRegisteredBit) != 0; }
 
-  // Serializes all known symbols as "id\tname\n" lines.
+  // Serializes all known symbols with a usable name as "id\tname\n" lines.
   std::string serialize() const;
 
   // Loads "id\tname\n" lines into an id→name map (analyzer side).

@@ -89,7 +89,7 @@ void Monitord::poll() {
   for (const auto& d : descriptors) current.insert(d.name);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (!current.count(it->first) ||
-        !session_registry::pid_alive(it->second->desc.pid)) {
+        !session_registry::owner_alive(it->second->desc)) {
       self_->journal().record(obs::EventType::kDetach, it->second->desc.pid, 0,
                               it->first);
       it = sessions_.erase(it);
@@ -100,7 +100,7 @@ void Monitord::poll() {
 
   // Attach new live sessions, up to the fleet cap.
   for (const auto& d : descriptors) {
-    if (sessions_.count(d.name) || !session_registry::pid_alive(d.pid)) continue;
+    if (sessions_.count(d.name) || !session_registry::owner_alive(d)) continue;
     if (sessions_.size() >= options_.max_sessions) break;
     attach_locked(d);
   }

@@ -326,6 +326,81 @@ TEST_P(RingWrapTornTailTest, WrappedWindowScansPhysicalSlots) {
   EXPECT_EQ(profile.recon_stats().tombstones, 32u);
 }
 
+// A ring writer killed by log.flush.die after reserving a run that itself
+// wraps the segment end. Its cursor advance runs before the fault point, so
+// the whole dead run lies inside the window as tombstones: the window is the
+// newest capacity-sized stretch, not the oldest lap.
+TEST_P(RingWrapTornTailTest, DyingRunThatWrapsStaysInTheWindow) {
+  const u64 seed = GetParam();
+  constexpr u64 kCap = 48;
+  constexpr u64 kTid = 5;
+
+  SharedMemoryRegion shm;
+  ASSERT_TRUE(shm.create_anonymous(ProfileLog::bytes_for(kCap, 1)));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(shm.data(), shm.size(), 1234,
+                       log_flags::kActive | log_flags::kRecordCalls |
+                           log_flags::kRecordReturns |
+                           log_flags::kMultithread | log_flags::kRingBuffer,
+                       1));
+  ASSERT_EQ(log.capacity(), kCap);
+
+  // A child records `n` entries as one run and dies at its flush.
+  auto die_flushing = [&](u64 n) {
+    pid_t child = fork();
+    if (child == 0) {
+      fault::Spec s;
+      s.mode = fault::Mode::kNth;
+      s.n = 1;
+      fault::Registry::instance().set_seed(seed);
+      fault::Registry::instance().arm("log.flush.die", s);
+      LogBatch b;
+      u64 c = 100;
+      for (u64 i = 0; i < n; ++i) {
+        b.record(log, i % 2 == 0 ? EventKind::kCall : EventKind::kReturn,
+                 0xC000, kTid, c += 3);
+      }
+      b.flush(log);
+      _exit(0);  // unreachable: the flush dies after reserving
+    }
+    int status = 0;
+    return child > 0 && waitpid(child, &status, 0) == child &&
+           WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+  };
+
+  // [0, 16) dies unstored; a survivor stores [16, 32); then [32, 64) — 16
+  // slots up to the segment end and 16 from its start — dies unstored.
+  ASSERT_TRUE(die_flushing(16));
+  LogBatch survivor;
+  u64 c = 1000;
+  for (u64 i = 0; i < 16; ++i) {
+    survivor.record(log, i % 2 == 0 ? EventKind::kCall : EventKind::kReturn,
+                    0xD000, kTid, c += 3);
+  }
+  ASSERT_TRUE(survivor.flush(log));
+  ASSERT_TRUE(die_flushing(32));
+
+  const LogShard& sh = *log.shard(0);
+  ASSERT_EQ(sh.tail.load(std::memory_order_acquire), 64u);
+  EXPECT_EQ(sh.drained.load(std::memory_order_acquire), 64u - kCap);
+  EXPECT_EQ(log.dropped(), 0u);
+
+  LogWindow w = log.window(0);
+  EXPECT_EQ(w.start, 64u - kCap);
+  ASSERT_EQ(w.size(), kCap);
+  std::vector<LogEntry> window;
+  log.shard_snapshot(0, &window);
+  for (u64 i = 0; i < 16; ++i) EXPECT_EQ(window[i].addr, 0xD000u) << i;
+  for (u64 i = 16; i < kCap; ++i) {
+    EXPECT_EQ(window[i].kind_and_counter, 0u) << "slot " << i;
+  }
+  // The newest 32 entries are exactly the dead run.
+  EXPECT_EQ(log.shard_torn_tail(0, 32), 32u);
+  EXPECT_EQ(log.count_torn_tail(~0ull), 32u);
+  auto profile = analyzer::Profile::from_log(log, {}, 1.0);
+  EXPECT_EQ(profile.recon_stats().tombstones, 32u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RingWrapTornTailTest, ::testing::Values(1, 2, 3));
 
 // --- cross-process drop visibility ------------------------------------------

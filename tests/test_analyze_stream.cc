@@ -445,15 +445,16 @@ MergeableProfile expect_cct_differential(const char* name,
   return dumped ? std::move(*dumped) : MergeableProfile{};
 }
 
-TEST(AnalyzeStream, CctIdsSharingANameAddUp) {
-  // 0x10 and 0x20 are both "dup": on the same path (main;dup twice, from
-  // different ids) and on different paths (main;dup vs main;helper;dup),
-  // nested in each other, and as thread roots. Shard 1 adds one more 0x20
-  // under a method whose symbol is empty, so the higher id arrives last
-  // and the folded path starts with a separator.
-  constexpr u64 kMain = 0x1, kHelper = 0x2, kDupA = 0x10, kDupB = 0x20,
-                kBlank = 0x30;
-  std::string sym = "1\tmain\n2\thelper\n16\tdup\n32\tdup\n48\t\n";
+// 0x10 and 0x20 are both "dup": on the same path (main;dup twice, from
+// different ids) and on different paths (main;dup vs main;helper;dup),
+// nested in each other, and as thread roots. Shard 1 adds one more 0x20
+// under 0x30, whose symbol is empty, so the higher id arrives last and 0x30
+// is named by its hex address.
+constexpr u64 kSameNameBlank = 0x30;
+const char kSameNameSym[] = "1\tmain\n2\thelper\n16\tdup\n32\tdup\n48\t\n";
+
+ShardStreams same_name_streams() {
+  constexpr u64 kMain = 0x1, kHelper = 0x2, kDupA = 0x10, kDupB = 0x20;
   ShardStreams streams(2);
   u64 c = 1;
   u32 shard = 0;
@@ -474,9 +475,14 @@ TEST(AnalyzeStream, CctIdsSharingANameAddUp) {
   call(kDupB), ret(kDupB);
   call(kDupA), ret(kDupA);
   shard = 1;
-  call(kBlank), call(kDupB), ret(kDupB), ret(kBlank);
+  call(kSameNameBlank), call(kDupB), ret(kDupB), ret(kSameNameBlank);
+  return streams;
+}
 
-  MergeableProfile m = expect_cct_differential("samename", streams, sym);
+TEST(AnalyzeStream, CctIdsSharingANameAddUp) {
+  constexpr u64 kDupA = 0x10;
+  MergeableProfile m =
+      expect_cct_differential("samename", same_name_streams(), kSameNameSym);
   ASSERT_EQ(m.methods.count("dup"), 1u);
   EXPECT_EQ(m.methods.at("dup").count, 9u);
   EXPECT_EQ(m.methods.at("dup").id, kDupA);  // the minimum contributing id
@@ -485,7 +491,37 @@ TEST(AnalyzeStream, CctIdsSharingANameAddUp) {
   EXPECT_EQ(m.edges.at({"", "dup", true}).count, 2u);
   EXPECT_EQ(m.stacks.count("main;dup"), 1u);
   EXPECT_EQ(m.stacks.count("main;helper;dup;dup"), 1u);
-  EXPECT_EQ(m.stacks.count(";dup"), 1u);
+  EXPECT_EQ(m.stacks.count("0x30;dup"), 1u);
+}
+
+TEST(AnalyzeStream, EmptySymbolNameSavesALoadableMprof) {
+  // The same input saved and loaded back: with the empty name taken as a
+  // name, save() wrote a method keyed "" that load_bytes rejects.
+  MergeableProfile m =
+      expect_cct_differential("blankname", same_name_streams(), kSameNameSym);
+  EXPECT_EQ(m.methods.count(""), 0u);
+  EXPECT_EQ(m.methods.at("0x30").id, kSameNameBlank);
+  std::string bytes = m.save();
+  std::string err;
+  auto loaded = MergeableProfile::load_bytes(bytes, &err);
+  ASSERT_TRUE(loaded.has_value()) << err;
+  EXPECT_EQ(loaded->save(), bytes);
+}
+
+TEST(AnalyzeStream, SymbolNamesThatSplitFoldedPathsFallBackToHex) {
+  // A ';' inside a name would add a frame to every folded path through it.
+  // The .sym line is dropped and both builders name the method by address.
+  ShardStreams streams(1);
+  streams[0] = {event(EventKind::kCall, 0x1, 1, 10),
+                event(EventKind::kCall, 0x2, 1, 12),
+                event(EventKind::kReturn, 0x2, 1, 20),
+                event(EventKind::kReturn, 0x1, 1, 25)};
+  MergeableProfile m =
+      expect_cct_differential("semicolon", streams, "1\tmain\n2\ta;b\n");
+  EXPECT_EQ(m.stacks.count("main;0x2"), 1u);
+  EXPECT_EQ(m.stacks.count("main;a;b"), 0u);
+  std::string err;
+  EXPECT_TRUE(MergeableProfile::load_bytes(m.save(), &err).has_value()) << err;
 }
 
 TEST(AnalyzeStream, CctDeepRecursion) {

@@ -3,10 +3,13 @@
 // reservation property (every slot written exactly once).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "core/log_format.h"
+#include "core/recorder.h"
+#include "obs/metric_names.h"
 
 namespace teeperf {
 namespace {
@@ -171,6 +174,86 @@ TEST(RingLog, NonRingSnapshotMatchesEntries) {
   log.snapshot_ordered(&ordered);
   EXPECT_EQ(ordered.size(), 8u);
   EXPECT_EQ(ordered[7].addr, 7u);
+}
+
+// Ring writers sharing a shard CAS one drain cursor. After a concurrent
+// session each shard's window is exactly its newest capacity entries,
+// nothing counts as dropped, and the attempted count and the watchdog's
+// log.ring_wraps gauge are what the raw tails say.
+//
+// Ring writers never wait on each other, so a writer can overwrite a slot
+// whose previous store it has no happens-before edge to (the lapped-writer
+// race DESIGN.md §8 accepts). The writers fill exactly one lap, meet at a
+// barrier, then write exactly one more: every overwrite then follows the
+// store it replaces, and the test stays clean under ThreadSanitizer while
+// the second lap still races the cursor CAS.
+TEST(RingLog, ConcurrentWritersShareOneCursor) {
+  constexpr int kThreads = 4;  // two per shard
+  constexpr u64 kPerThread = 2048;  // per shard: two laps of 2048
+  RecorderOptions opts;
+  opts.max_entries = 4096;
+  opts.shards = 2;
+  opts.ring_buffer = true;
+  opts.counter_mode = CounterMode::kSteadyClock;
+  opts.publish_session = false;
+  opts.watchdog_interval_ms = 5;
+  auto rec = Recorder::create(opts);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_TRUE(rec->attach());
+  ProfileLog& log = rec->log();
+  ASSERT_EQ(log.shard_count(), 2u);
+
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, &arrived, t] {
+      LogBatch b;
+      for (u64 i = 0; i < kPerThread; ++i) {
+        if (i == kPerThread / 2) {
+          b.flush(log);
+          arrived.fetch_add(1, std::memory_order_acq_rel);
+          while (arrived.load(std::memory_order_acquire) < kThreads) {
+            std::this_thread::yield();
+          }
+        }
+        b.record(log, i % 2 ? EventKind::kReturn : EventKind::kCall,
+                 0x1000 + static_cast<u64>(t), static_cast<u64>(t), i + 1);
+      }
+      b.flush(log);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const u64 total = kThreads * kPerThread;
+  Recorder::Stats st = rec->stats();
+  EXPECT_EQ(st.attempted, total);
+  EXPECT_EQ(st.dropped, 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  for (u32 s = 0; s < log.shard_count(); ++s) {
+    const LogShard& sh = *log.shard(s);
+    u64 tail = sh.tail.load(std::memory_order_acquire);
+    ASSERT_EQ(tail, 2 * sh.capacity);
+    EXPECT_EQ(sh.drained.load(std::memory_order_acquire), tail - sh.capacity);
+    LogWindow w = log.window(s);
+    EXPECT_EQ(w.start, tail - sh.capacity);
+    EXPECT_EQ(w.size(), sh.capacity);
+    for (std::span<const LogEntry> span : {w.first, w.second}) {
+      for (const LogEntry& e : span) {
+        EXPECT_EQ(e.tid % log.shard_count(), s);
+        EXPECT_NE(e.addr, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(log.count_torn_tail(~0ull), 0u);
+
+  obs::Gauge wraps = rec->telemetry()->registry().gauge(
+      obs::metric_names::kLogRingWraps);
+  const u64 expect_wraps = total / log.capacity();
+  for (int i = 0; i < 2000 && wraps.value() != expect_wraps; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(wraps.value(), expect_wraps);
+  rec->detach();
 }
 
 // Property: under concurrent appends, every slot 0..capacity-1 is written

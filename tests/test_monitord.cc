@@ -332,6 +332,44 @@ TEST(SessionRegistry, GcReclaimsDeadSessionsAndSparesLive) {
   session_registry::unpublish_session(dir, "teeperf.live");
 }
 
+TEST(SessionRegistry, GcTreatsARecycledPidAsDead) {
+  // Three descriptors name this live process's pid. One records another
+  // start time: its owner was an earlier process with the same pid, so GC
+  // reclaims it. The one with this process's start time stays, and so does
+  // the one with no start time, which falls back to the pid check alone.
+  std::string dir = make_temp_dir("teeperf_gcpid_");
+  const u64 self = static_cast<u64>(getpid());
+  const u64 start = session_registry::process_start_time(self);
+  ASSERT_GT(start, 0u);
+  auto descriptor = [&](const char* name, const std::string& extra) {
+    return "{\"name\":\"" + std::string(name) + "\",\"pid\":" +
+           std::to_string(self) + extra + "}\n";
+  };
+  ASSERT_TRUE(write_file(dir + "/teeperf.recycled.json",
+                         descriptor("teeperf.recycled",
+                                    ",\"pid_start\":" + std::to_string(start + 1))));
+  ASSERT_TRUE(write_file(dir + "/teeperf.same.json",
+                         descriptor("teeperf.same",
+                                    ",\"pid_start\":" + std::to_string(start))));
+  ASSERT_TRUE(write_file(dir + "/teeperf.legacy.json",
+                         descriptor("teeperf.legacy", "")));
+
+  auto r = session_registry::gc_stale_sessions(dir);
+  EXPECT_EQ(r.descriptors, 1u);
+  auto left = session_registry::list_sessions(dir);
+  ASSERT_EQ(left.size(), 2u);
+  EXPECT_EQ(left[0].name, "teeperf.legacy");
+  EXPECT_EQ(left[1].name, "teeperf.same");
+  EXPECT_EQ(left[1].pid_start, start);
+
+  // The field survives the JSON round trip.
+  session_registry::SessionDescriptor back;
+  ASSERT_TRUE(session_registry::from_json(session_registry::to_json(left[1]),
+                                          &back));
+  EXPECT_EQ(back.pid_start, start);
+  for (const auto& d : left) session_registry::unpublish_session(dir, d.name);
+}
+
 TEST(SessionRegistry, GcNeverTouchesForeignShmNames) {
   std::string dir = make_temp_dir("teeperf_gcf_");
   u64 dead = dead_pid();

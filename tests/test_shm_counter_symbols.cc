@@ -182,6 +182,23 @@ TEST(SymbolRegistry, ParseToleratesGarbage) {
   EXPECT_EQ(parsed.at(12), "good");
 }
 
+TEST(SymbolRegistry, NamesThatBreakFoldedPathsAreNotNames) {
+  // An empty name, or one with a ';', is dropped where it enters, so the
+  // analyzer falls back to the hex address.
+  auto parsed = SymbolRegistry::parse("48\t\n49\ta;b\n50\tgood\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed.at(50), "good");
+
+  auto& reg = SymbolRegistry::instance();
+  u64 semi = reg.intern("split;frame");
+  u64 line = reg.intern("two\nlines");
+  EXPECT_EQ(reg.name_of(semi), "");
+  EXPECT_EQ(reg.name_of(line), "");
+  std::string sym = reg.serialize();
+  EXPECT_EQ(sym.find("split;frame"), std::string::npos);
+  EXPECT_EQ(sym.find("two\nlines"), std::string::npos);
+}
+
 TEST(SymbolRegistry, ConcurrentInternSafe) {
   auto& reg = SymbolRegistry::instance();
   std::vector<std::thread> threads;

@@ -89,6 +89,7 @@
 #include "common/stringutil.h"
 #include "core/counter.h"
 #include "core/log_format.h"
+#include "core/recorder.h"
 #include "core/replicated_counter.h"
 #include "drain/drainer.h"
 #include "obs/export.h"
@@ -347,6 +348,7 @@ int main(int argc, char** argv) {
   session_desc.capacity = max_entries;
   session_desc.shards = log.shard_count();
   session_desc.start_ns = monotonic_ns();
+  session_desc.pid_start = session_registry::process_start_time(session_desc.pid);
   if (!session_registry::publish_session(session_dir, session_desc)) {
     std::fprintf(stderr,
                  "teeperf_record: cannot publish session descriptor under %s "
@@ -395,18 +397,8 @@ int main(int argc, char** argv) {
         &telem->registry(), &telem->journal(),
         [mode, header] { return read_counter(mode, header); }, counter);
     drain::Drainer* dr = drainer.get();
-    watchdog->watch_log([&log, ring, dr] {
-      obs::LogSample s;
-      s.tail = log.attempted();
-      s.capacity = log.capacity();
-      s.active = log.active();
-      s.ring = ring;
-      s.spill = log.spill();
-      s.dropped = log.dropped();
-      for (u32 si = 0; si < log.shard_count(); ++si) {
-        s.shard_tails.push_back(
-            log.shard(si)->tail.load(std::memory_order_relaxed));
-      }
+    watchdog->watch_log([&log, dr] {
+      obs::LogSample s = sample_log(log);
       if (dr) {
         drain::Drainer::Stats st = dr->stats();
         s.drain_lag = st.lag_entries;
@@ -543,24 +535,13 @@ int main(int argc, char** argv) {
 
   u64 tail = log.attempted();
   u64 n = log.size();
-  if (log.sharded() || (ring && tail > max_entries)) {
-    // Sharded or wrapped logs persist in compact form (windows packed
-    // back-to-back, ring order normalized) so offline loaders see plain
-    // order with no gaps, written straight out of the shm windows.
-    if (!log.write_compact(prefix + ".log")) {
-      std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
-                   prefix.c_str());
-      return 1;
-    }
-  } else {
-    usize out_bytes = sizeof(LogHeader) + static_cast<usize>(n) * sizeof(LogEntry);
-    if (!write_file(prefix + ".log",
-                    std::string_view(static_cast<const char*>(shm.data()),
-                                     out_bytes))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
-                   prefix.c_str());
-      return 1;
-    }
+  // Sharded or wrapped logs persist in compact form (windows packed
+  // back-to-back, ring order normalized) so offline loaders see plain order
+  // with no gaps, written straight out of the shm windows.
+  if (!log.write_dump(prefix + ".log")) {
+    std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
+                 prefix.c_str());
+    return 1;
   }
 
   // Telemetry teardown: final health snapshot + event journal become sidecar

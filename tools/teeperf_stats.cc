@@ -114,7 +114,7 @@ int list_sessions_main() {
   for (const auto& d : sessions) {
     std::printf("%-36s %8llu %-6s %s\n", d.name.c_str(),
                 static_cast<unsigned long long>(d.pid),
-                session_registry::pid_alive(d.pid) ? "live" : "stale",
+                session_registry::owner_alive(d) ? "live" : "stale",
                 d.obs_shm.empty() ? "-" : d.obs_shm.c_str());
   }
   return 0;
