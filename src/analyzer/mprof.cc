@@ -88,10 +88,7 @@ MergeableProfile MergeableProfile::from_profile(const Profile& p) {
   MergeableProfile m;
   m.sessions = 1;
   m.ns_per_tick = p.ns_per_tick();
-  const ReconstructionStats& r = p.recon_stats();
-  m.stats = {r.entries,    r.stray_returns, r.mismatched_returns,
-             r.unwound_frames, r.incomplete, r.tombstones,
-             p.thread_count()};
+  m.stats = MprofStats::from(p.recon_stats(), p.thread_count());
 
   // Two ids can symbolize to the same name (e.g. the same function
   // registered by two libraries); the name key absorbs both.

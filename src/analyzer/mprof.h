@@ -87,6 +87,13 @@ struct MprofStats {
   u64 tombstones = 0;
   u64 thread_count = 0;
   bool operator==(const MprofStats&) const = default;
+
+  // One analysis's reconstruction counts and thread count.
+  static MprofStats from(const ReconstructionStats& r, u64 thread_count) {
+    return {r.entries,        r.stray_returns, r.mismatched_returns,
+            r.unwound_frames, r.incomplete,    r.tombstones,
+            thread_count};
+  }
 };
 
 class MergeableProfile {

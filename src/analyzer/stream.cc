@@ -222,6 +222,8 @@ MergeableProfile StreamAnalyzer::finish() {
   m.sessions = 1;
   m.ns_per_tick = ns_per_tick_;
 
+  ReconstructionStats recon;
+  u64 threads = 0;
   for (auto& shp : shards_) {
     ShardState& sh = *shp;
     // Close whatever is still open with each thread's last counter; build()
@@ -234,16 +236,12 @@ MergeableProfile StreamAnalyzer::finish() {
       }
     }
 
-    m.stats.entries += sh.recon.entries;
-    m.stats.stray_returns += sh.recon.stray_returns;
-    m.stats.mismatched_returns += sh.recon.mismatched_returns;
-    m.stats.unwound_frames += sh.recon.unwound_frames;
-    m.stats.incomplete += sh.recon.incomplete;
-    m.stats.tombstones += sh.recon.tombstones;
+    recon.add(sh.recon);
     // tid % shard_count confines a thread to one shard: disjoint, sums exactly.
-    m.stats.thread_count += sh.threads.size();
+    threads += sh.threads.size();
     fold_shard(sh, &m);
   }
+  m.stats = MprofStats::from(recon, threads);
   return m;
 }
 

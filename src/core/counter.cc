@@ -37,24 +37,6 @@ u64 read_counter(CounterMode mode, const LogHeader* header) {
   return 0;
 }
 
-std::optional<double> counter_ns_per_tick(CounterMode mode,
-                                          const LogHeader* header) {
-  if (mode == CounterMode::kSteadyClock) return 1.0;  // ticks ARE nanoseconds
-  // Measure tick rate against the monotonic clock over a short window.
-  u64 c0 = read_counter(mode, header);
-  u64 t0 = monotonic_ns();
-  spin_for_ns(2'000'000);  // 2 ms window
-  u64 c1 = read_counter(mode, header);
-  u64 t1 = monotonic_ns();
-  // Degenerate window — a stalled counter or a clock that did not advance.
-  // Used to fall back to 1.0 here, which was indistinguishable from a real
-  // 1 ns/tick calibration and silently poisoned every downstream time
-  // conversion; an explicit failure lets callers retry or mark the dump
-  // uncalibrated instead.
-  if (c1 <= c0 || t1 <= t0) return std::nullopt;
-  return static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
-}
-
 SoftwareCounter::SoftwareCounter(LogHeader* header, u64 yield_every)
     : header_(header), yield_every_(yield_every) {}
 

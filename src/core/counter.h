@@ -36,17 +36,6 @@ const char* counter_mode_name(CounterMode mode);
 // kSoftware. Marked always_inline adjacent: this is the hook hot path.
 u64 read_counter(CounterMode mode, const LogHeader* header);
 
-// Nanoseconds per counter tick for `mode`, measured empirically against
-// CLOCK_MONOTONIC. Used by the analyzer to convert tick deltas into human
-// time; relative profiles do not depend on it being exact.
-//
-// Returns nullopt when the measurement window is degenerate — the counter
-// did not advance (stalled software counter) or the clock did not — instead
-// of a value indistinguishable from a real 1 ns/tick calibration. Callers
-// retry or record an uncalibrated dump (ns_per_tick = 0).
-std::optional<double> counter_ns_per_tick(CounterMode mode,
-                                          const LogHeader* header);
-
 // The software counter thread (§II-B). Increments header->counter in a tight
 // loop until stopped. `yield_every` optionally inserts sched_yield every N
 // increments so that single-core machines still make workload progress; 0

@@ -119,6 +119,7 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
     desc.pid = static_cast<u64>(getpid());
     desc.log_shm = log_name;
     if (rec->telemetry_) desc.obs_shm = rec->telemetry_->shm_name();
+    desc.prefix = options.dump_prefix;
     desc.capacity = options.max_entries;
     desc.shards = rec->log_.shard_count();
     desc.start_ns = monotonic_ns();
@@ -144,6 +145,14 @@ Recorder::~Recorder() {
 bool Recorder::attach() {
   if (attached_) return true;
   if (!runtime::attach(&log_, options_.counter_mode, options_.filter)) return false;
+  attach_host();
+  host_only_ = false;  // this process's probes record too
+  return true;
+}
+
+void Recorder::attach_host() {
+  if (attached_) return;
+  host_only_ = true;
   if (options_.counter_mode == CounterMode::kSoftware) {
     if (log_.counter_replica_count() > 0) {
       ReplicatedCounterOptions ropts;
@@ -181,12 +190,14 @@ bool Recorder::attach() {
   attach_counter_ = read_counter(options_.counter_mode, log_.header());
   attach_ns_ = monotonic_ns();
   if (telemetry_) {
-    // Publish for the in-process hook instrumentation (runtime.cc), then
-    // start the counter-health watchdog against the live counter and log.
+    // Publish process-wide (the in-process hook instrumentation and the
+    // external fault-arming bridge read it), then start the counter-health
+    // watchdog against the live counter and log.
     obs::install(telemetry_.get());
     telemetry_->journal().record(obs::EventType::kAttach,
                                  static_cast<u64>(getpid()), 0,
                                  counter_mode_name(options_.counter_mode));
+    if (log_.active()) telemetry_->journal().record(obs::EventType::kActivate);
     telemetry_->registry().gauge(obs::metric_names::kLogCapacity).set(log_.capacity());
     obs::WatchdogOptions wopts;
     wopts.interval_ms = options_.watchdog_interval_ms;
@@ -226,12 +237,11 @@ bool Recorder::attach() {
     watchdog_->start();
   }
   attached_ = true;
-  return true;
 }
 
 void Recorder::detach() {
   if (!attached_) return;
-  runtime::detach();
+  if (!host_only_) runtime::detach();
   if (watchdog_) {
     watchdog_->stop();
     watchdog_.reset();
@@ -336,7 +346,8 @@ bool Recorder::dump(const std::string& prefix) {
   // moment torn tails become detectable, so scan now.
   if (telemetry_) {
     if (u64 torn = log_.count_torn_tail()) {
-      telemetry_->journal().record(obs::EventType::kTornTail, torn);
+      telemetry_->journal().record(obs::EventType::kTornTail, torn,
+                                   log_.attempted());
       telemetry_->registry().gauge(obs::metric_names::kLogTornTail).set(torn);
     }
     write_file(prefix + ".health",
@@ -347,7 +358,11 @@ bool Recorder::dump(const std::string& prefix) {
 
   // Symbol file: every registered symbol, then dladdr resolutions for raw
   // addresses recorded via the -finstrument-functions route. dladdr plays
-  // the role of the paper's addr2line/DWARF lookup (see DESIGN.md).
+  // the role of the paper's addr2line/DWARF lookup (see DESIGN.md). A
+  // host-only session's probes ran in another address space, which writes
+  // its own ".sym"; resolving its addresses here would overwrite real names
+  // with hex.
+  if (host_only_) return true;
   return write_file(prefix + ".sym", build_symbol_file(log_));
 }
 

@@ -1,6 +1,7 @@
 // The recorder wrapper (§II-B, stage #2): sets up the shared-memory log,
 // manages the counter, installs the runtime session, and persists the log
-// (plus a symbol file) for the offline analyzer.
+// (plus a symbol file) for the offline analyzer. In-process callers and the
+// teeperf_record CLI both run their sessions through it.
 #pragma once
 
 #include <memory>
@@ -81,6 +82,11 @@ struct RecorderOptions {
   // per-host default.
   std::string session_dir;
 
+  // Dump prefix published in the session descriptor, so a monitor can load
+  // "<dump_prefix>.sym" once the probed process writes it. Set by wrappers
+  // whose probes run in a child (teeperf_record's -o); empty otherwise.
+  std::string dump_prefix;
+
   // Selective profiling filter; must outlive the recorder. May be null.
   const Filter* filter = nullptr;
 
@@ -101,9 +107,16 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  // Installs the runtime session (starts the software counter thread if
-  // configured). False if another session is already attached.
+  // Installs the in-process runtime session, so this process's probes
+  // record into the log, then runs attach_host(). False if another session
+  // is already attached.
   bool attach();
+
+  // The host half of a session on its own: the software counter (single or
+  // replicated), the telemetry watchdog and the start of the calibration
+  // window. For a wrapper whose probes run in a child that adopts the log
+  // by shm_name(); that child writes the ".sym" itself, so dump() skips it.
+  void attach_host();
   void detach();
 
   // Spill sessions: drainer health fed into the watchdog's log sample. The
@@ -146,14 +159,21 @@ class Recorder {
   // The live telemetry region (null when options.telemetry is false).
   obs::SelfTelemetry* telemetry() { return telemetry_.get(); }
 
+  // The log's shm name ("" for an anonymous session; "auto" resolved to the
+  // name create() picked).
+  const std::string& shm_name() const { return options_.shm_name; }
+
   // The registry key this session published under ("" when unpublished —
   // anonymous sessions, publish_session=false, or a failed publish).
   const std::string& session_name() const { return session_name_; }
 
   // Writes "<prefix>.log" (raw header + entries, with the tick rate
   // calibrated at detach — or now, while still attached — stored into the
-  // header) and "<prefix>.sym" (registered symbols plus dladdr resolutions
-  // of raw addresses found in the log). Returns false on I/O failure.
+  // header), the telemetry sidecars "<prefix>.health" and
+  // "<prefix>.events.jsonl", and, unless the session ran through
+  // attach_host(), "<prefix>.sym" (registered symbols plus dladdr
+  // resolutions of raw addresses found in the log). Returns false on I/O
+  // failure.
   bool dump(const std::string& prefix);
 
  private:
@@ -175,6 +195,7 @@ class Recorder {
   std::unique_ptr<obs::SelfTelemetry> telemetry_;
   std::unique_ptr<obs::Watchdog> watchdog_;
   bool attached_ = false;
+  bool host_only_ = false;             // attached by attach_host()
   u64 attach_counter_ = 0;             // counter and CLOCK_MONOTONIC at
   u64 attach_ns_ = 0;                  // attach: the calibration window start
   std::optional<double> ns_per_tick_;  // calibrated at the last detach

@@ -27,7 +27,7 @@ enum class EventType : u32 {
   kRingWrap = 9,       // log ring wrapped (arg0 = wrap count)
   kLogSaturated = 10,  // non-ring log is full and dropping (arg0 = attempted)
   kTornTail = 11,      // reserved-but-unwritten entries found at dump
-                       // (arg0 = torn entry count)
+                       // (arg0 = torn entry count, arg1 = attempted)
   kSamplerStart = 12,  // perfsim sampler armed (arg0 = frequency hz)
   kSamplerStop = 13,   // perfsim sampler stopped (arg0 = samples, arg1 = dropped)
   kDrainStall = 14,    // spill drainer stopped consuming while writers lag

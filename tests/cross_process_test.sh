@@ -85,11 +85,11 @@ RATE=$(awk '/log.entry_rate_peak_per_s/ {print $3}' "$OUT/stats.out")
 [ "${RATE:-0}" -gt 0 ] || {
   echo "FAIL: live entry rate is zero"; cat "$OUT/stats.out"; exit 1; }
 
-# Watchdog fault injection: freezing the software counter mid-hold must
-# surface as a counter_stall event in the journal export and as a warning in
-# the analyzer's health section.
+# Watchdog fault injection: stalling the software counter (the
+# counter.stall fault point) must surface as a counter_stall event in the
+# journal export and as a warning in the analyzer's health section.
 "$BIN/tools/teeperf_record" -o "$OUT/stall" -c software \
-    --freeze-counter-after-ms 100 --hold-ms 800 -- \
+    --faults counter.stall:nth=1 --hold-ms 800 -- \
     "$BIN/examples/instrumented_app" "$OUT/ignored4" > /dev/null 2>&1
 grep -q '"event":"counter_stall"' "$OUT/stall.events.jsonl" || {
   echo "FAIL: frozen counter produced no stall event"

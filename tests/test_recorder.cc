@@ -11,6 +11,7 @@
 
 #include "analyzer/profile.h"
 #include "common/fileutil.h"
+#include "common/session_registry.h"
 #include "common/spin.h"
 #include "core/profiler.h"
 
@@ -321,6 +322,43 @@ TEST_F(RecorderTest, SoftwareCounterSessionRecords) {
   ASSERT_EQ(rec->log().size(), 100u);
   // The counter must have advanced across the run (monotone overall).
   EXPECT_GE(rec->log().entry(99).counter(), rec->log().entry(0).counter());
+}
+
+TEST_F(RecorderTest, HostOnlySessionPublishesPrefixAndLeavesSymToTheChild) {
+  // A wrapper session attaches only the host half: the probes run in a
+  // child that adopts the log and writes "<prefix>.sym" from its own
+  // address space. The Recorder must publish that prefix for monitors and
+  // must not overwrite the child's names with its own hex resolutions.
+  std::string dir = make_temp_dir("teeperf_host_");
+  RecorderOptions opts;
+  opts.shm_name = "auto";
+  opts.session_dir = dir + "/sessions";
+  opts.dump_prefix = dir + "/run";
+  auto rec = make(opts);
+  ASSERT_NE(rec->session_name(), "");
+  std::vector<session_registry::SessionDescriptor> live =
+      session_registry::list_sessions(opts.session_dir);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].prefix, opts.dump_prefix);
+  EXPECT_EQ(live[0].log_shm, rec->shm_name());
+
+  ASSERT_TRUE(write_file(dir + "/run.sym", "child names\n"));
+  rec->attach_host();
+  EXPECT_FALSE(runtime::attached());  // no in-process probes
+  rec->detach();
+  ASSERT_TRUE(rec->dump(dir + "/run"));
+  EXPECT_TRUE(file_exists(dir + "/run.log"));
+  EXPECT_EQ(read_file(dir + "/run.sym").value_or(""), "child names\n");
+
+  // The in-process half does write it.
+  auto in_process = make();
+  ASSERT_TRUE(in_process->attach());
+  in_process->detach();
+  ASSERT_TRUE(in_process->dump(dir + "/inproc"));
+  EXPECT_TRUE(file_exists(dir + "/inproc.sym"));
+  rec.reset();
+  EXPECT_TRUE(session_registry::list_sessions(opts.session_dir).empty());
+  remove_tree(dir);
 }
 
 }  // namespace

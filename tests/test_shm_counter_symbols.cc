@@ -7,9 +7,11 @@
 #include <cstring>
 #include <thread>
 
+#include "common/fileutil.h"
 #include "common/spin.h"
 #include "core/counter.h"
 #include "core/log_format.h"
+#include "core/recorder.h"
 #include "common/shm.h"
 #include "core/symbol_registry.h"
 
@@ -93,25 +95,45 @@ TEST(Counter, SteadyClockAdvances) {
   EXPECT_GT(b, a);
 }
 
+// The tick rate a session's dump records for `mode`: the Recorder
+// calibrates over its attach → detach window (host half only, so no probe
+// runtime is installed); a session never attached has no window. -1 on a
+// setup or dump failure.
+double session_ns_per_tick(CounterMode mode, bool attach = true) {
+  RecorderOptions opts;
+  opts.counter_mode = mode;
+  opts.max_entries = 1024;
+  opts.telemetry = false;
+  auto rec = Recorder::create(opts);
+  if (!rec) return -1;
+  if (attach) {
+    rec->attach_host();
+    spin_for_ns(2'000'000);
+    rec->detach();
+  }
+  std::string dir = make_temp_dir("teeperf_npt_");
+  bool ok = rec->dump(dir + "/run");
+  remove_tree(dir);
+  return ok ? rec->log().header()->ns_per_tick : -1;
+}
+
 TEST(Counter, NsPerTickSane) {
-  LogHeader h;
-  std::optional<double> tsc = counter_ns_per_tick(CounterMode::kTsc, &h);
-  ASSERT_TRUE(tsc.has_value());
-  EXPECT_GT(*tsc, 0.0);
-  EXPECT_LT(*tsc, 1000.0);  // >1 MHz
-  std::optional<double> steady =
-      counter_ns_per_tick(CounterMode::kSteadyClock, &h);
-  ASSERT_TRUE(steady.has_value());
-  EXPECT_DOUBLE_EQ(*steady, 1.0);
+  double tsc = session_ns_per_tick(CounterMode::kTsc);
+  EXPECT_GT(tsc, 0.0);
+  EXPECT_LT(tsc, 1000.0);  // >1 MHz
+  EXPECT_DOUBLE_EQ(session_ns_per_tick(CounterMode::kSteadyClock), 1.0);
 }
 
 TEST(Counter, NsPerTickFailsOnDegenerateWindow) {
-  // A software counter with no thread behind it never advances: the 2 ms
-  // measurement window sees zero ticks. The old code mapped that to 1.0 —
-  // indistinguishable from a real 1 ns/tick calibration — which poisoned
-  // every downstream time conversion; it must be an explicit failure.
+  // A software counter with no thread behind it never advances, so it has
+  // no rate to report. Mapping that to 1.0 would be indistinguishable from a
+  // real 1 ns/tick calibration and poison every downstream time
+  // conversion; it must be an explicit failure, and a session that never
+  // calibrated must dump ns_per_tick = 0 ("uncalibrated").
   LogHeader h;
-  EXPECT_FALSE(counter_ns_per_tick(CounterMode::kSoftware, &h).has_value());
+  SoftwareCounter idle(&h);
+  EXPECT_FALSE(idle.ns_per_tick().has_value());
+  EXPECT_EQ(session_ns_per_tick(CounterMode::kSoftware, /*attach=*/false), 0.0);
 }
 
 TEST(Counter, SoftwareCounterIncrementsHeaderWord) {

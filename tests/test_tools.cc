@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analyzer/dump_reader.h"
 #include "common/fileutil.h"
 
 namespace teeperf {
@@ -226,6 +228,39 @@ TEST_F(ToolsTest, RecordWithAppendDieFaultStillWritesLoadableDump) {
       << out;
   ASSERT_TRUE(file_exists(prefix + ".log"));
   EXPECT_EQ(run_cmd({analyze_, prefix}, &out), 0) << out;
+}
+
+TEST_F(ToolsTest, RecordWithDumpFailFaultWritesNoLog) {
+  // dump.fail fires in the wrapper's session dump: the run must fail with a
+  // diagnostic and leave no .log that could pass for a clean capture.
+  std::string prefix = dir_ + "/dumpfail";
+  std::string out;
+  EXPECT_EQ(run_cmd({record_, "-o", prefix, "-c", "steady_clock", "--faults",
+                     "dump.fail:nth=1", "--", app_, dir_ + "/fx"},
+                    &out),
+            1)
+      << out;
+  EXPECT_NE(out.find("writing " + prefix + ".log failed"), std::string::npos)
+      << out;
+  EXPECT_FALSE(file_exists(prefix + ".log"));
+}
+
+TEST_F(ToolsTest, RecordCalibratesEveryCounterMode) {
+  // The dump header carries the session's ticks→ns rate: measured for the
+  // TSC and the software counter, exactly 1 for the steady clock (its ticks
+  // are nanoseconds).
+  for (std::string counter : {"tsc", "software", "steady_clock"}) {
+    std::string prefix = record_run({"-c", counter});
+    std::optional<std::string> bytes = read_file(prefix + ".log");
+    ASSERT_TRUE(bytes.has_value()) << counter;
+    std::optional<analyzer::ParsedDump> dump = analyzer::parse_dump(*bytes);
+    ASSERT_TRUE(dump.has_value()) << counter;
+    if (counter == "steady_clock") {
+      EXPECT_EQ(dump->ns_per_tick, 1.0);
+    } else {
+      EXPECT_GT(dump->ns_per_tick, 0.0) << counter;
+    }
+  }
 }
 
 TEST_F(ToolsTest, StatsRejectsBadArgsAndMissingSession) {

@@ -3,12 +3,14 @@
 //
 //   teeperf_record -o run -- ./my_instrumented_app args...
 //
-// The wrapper creates the shared-memory log, optionally runs the software
+// The session is one Recorder (core/recorder.h) with only its host half
+// attached: it creates the shared-memory log, optionally runs the software
 // counter (in this process, on the host — the TEE never needs a timer),
-// launches the application with TEEPERF_SHM/TEEPERF_COUNTER/TEEPERF_SYM
-// set, waits for it, and persists "run.log". The application (anything
-// linking teeperf_core, instrumented via -finstrument-functions or
-// TEEPERF_SCOPE) self-attaches before main() and writes "run.sym" at exit.
+// calibrates ticks→ns and persists "run.log". The wrapper launches the
+// application with TEEPERF_SHM/TEEPERF_COUNTER/TEEPERF_SYM set and waits
+// for it. The application (anything linking teeperf_core, instrumented via
+// -finstrument-functions or TEEPERF_SCOPE) self-attaches before main() and
+// writes "run.sym" at exit.
 //
 // Options:
 //   -o <prefix>    output prefix                (default: teeperf)
@@ -48,9 +50,6 @@
 //   --hold-ms N          keep the session (shm log, telemetry region,
 //                        watchdog) alive N ms after the child exits — lets
 //                        teeperf_stats scrape a finished-but-held session
-//   --freeze-counter-after-ms N   fault injection: stop the software
-//                        counter thread N ms into the run so the watchdog's
-//                        stall detection can be demonstrated end to end
 //   --faults <spec>      arm deterministic fault points (see TESTING.md),
 //                        e.g. "dump.torn:nth=1;counter.stall:nth=1" — armed
 //                        in this wrapper and exported to the child via
@@ -58,44 +57,31 @@
 //   --fault-seed N       seed for probabilistic / value-drawing faults
 //                        (default: 1; exported as TEEPERF_FAULT_SEED)
 //
-// The wrapper also publishes self-telemetry: a second shared-memory region
+// The session also publishes self-telemetry: a second shared-memory region
 // "<base>.obs" next to the "<base>.log" segment (base =
 // "/teeperf.<pid>.<nonce>", the multi-session naming scheme) holds live
 // metrics (ring occupancy, entry rates, counter health) plus a structured
 // event journal; a watchdog thread re-measures the counter against
 // CLOCK_MONOTONIC continuously. The session is announced in the on-disk
 // session registry ($TEEPERF_SESSION_DIR), which is how teeperf_stats and
-// teeperf_monitord discover it. At exit the wrapper persists
+// teeperf_monitord discover it. At exit the session persists
 // "<prefix>.health" (human snapshot) and "<prefix>.events.jsonl", which
 // teeperf_analyze folds into its report as the "recorder health" section.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <thread>
-
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "common/fileutil.h"
 #include "common/session_registry.h"
-#include "common/shm.h"
-#include "common/spin.h"
-#include "faultsim/fault.h"
-#include "common/stringutil.h"
-#include "core/counter.h"
-#include "core/log_format.h"
 #include "core/recorder.h"
-#include "core/replicated_counter.h"
 #include "drain/drainer.h"
-#include "obs/export.h"
-#include "obs/metric_names.h"
-#include "obs/session.h"
-#include "obs/watchdog.h"
+#include "faultsim/fault.h"
 
 using namespace teeperf;
 
@@ -124,7 +110,7 @@ int main(int argc, char** argv) {
   std::string spill_dir;
   u64 spill_chunk_entries = 1u << 15;
   bool telemetry = true;
-  long hold_ms = 0, freeze_counter_after_ms = -1;
+  long hold_ms = 0;
   long counter_replicas = 0;
   std::string fault_spec;
   u64 fault_seed = 1;
@@ -174,8 +160,6 @@ int main(int argc, char** argv) {
       telemetry = false;
     } else if (arg == "--hold-ms" && i + 1 < argc) {
       hold_ms = std::atol(argv[++i]);
-    } else if (arg == "--freeze-counter-after-ms" && i + 1 < argc) {
-      freeze_counter_after_ms = std::atol(argv[++i]);
     } else if (arg == "--faults" && i + 1 < argc) {
       fault_spec = argv[++i];
     } else if (arg == "--fault-seed" && i + 1 < argc) {
@@ -228,38 +212,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Shard count (log format v2): auto picks a power of two near the core
-  // count, reduced until every shard keeps >= 1024 entries — same policy as
-  // the in-process Recorder.
-  u32 shard_count;
-  if (shards >= 0) {
-    shard_count = static_cast<u32>(shards);
-  } else {
-    u32 hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    shard_count = 1;
-    while (shard_count < hw && shard_count < 64) shard_count <<= 1;
-    while (shard_count > 1 && max_entries / shard_count < 1024) shard_count >>= 1;
-  }
-
-  // Stale-session GC on the way in: reclaim descriptors and shm segments
-  // orphaned by crashed sessions, so a host that loops crashing recorders
-  // never leaks /dev/shm (the same sweep teeperf_monitord runs
-  // continuously).
-  std::string session_dir = session_registry::registry_dir();
-  {
-    auto gc = session_registry::gc_stale_sessions(session_dir);
-    if (gc.descriptors || gc.segments) {
-      std::fprintf(stderr,
-                   "teeperf_record: reclaimed %u stale session descriptor(s), "
-                   "%u orphaned shm segment(s)\n",
-                   gc.descriptors, gc.segments);
-    }
-  }
-
-  // Shared-memory log, owned by this wrapper. The session base
-  // "/teeperf.<pid>.<nonce>" is collision-free across concurrent sessions
-  // (and pid reuse); creation is O_EXCL so a nonce collision just retries.
   // Replication only applies to the software counter (hardware sources have
   // nothing to replicate); silently dropping the request would hide a typo'd
   // command line, so reject it.
@@ -268,36 +220,57 @@ int main(int argc, char** argv) {
                          "-c software\n");
     return 2;
   }
-  u32 replica_count = static_cast<u32>(counter_replicas);
 
-  std::string shm_base;
-  std::string shm_name;
-  SharedMemoryRegion shm;
-  usize bytes =
-      ProfileLog::bytes_for_replicated(max_entries, shard_count, replica_count);
-  for (int attempt = 0; attempt < 4 && !shm.valid(); ++attempt) {
-    shm_base = session_registry::shm_base(
-        static_cast<u64>(getpid()), session_registry::make_nonce(session_dir));
-    shm_name = shm_base + ".log";
-    shm.create(shm_name, bytes);
+  // Stale-session GC on the way in: reclaim descriptors and shm segments
+  // orphaned by crashed sessions, so a host that loops crashing recorders
+  // never leaks /dev/shm (the same sweep teeperf_monitord runs
+  // continuously).
+  {
+    auto gc = session_registry::gc_stale_sessions(session_registry::registry_dir());
+    if (gc.descriptors || gc.segments) {
+      std::fprintf(stderr,
+                   "teeperf_record: reclaimed %u stale session descriptor(s), "
+                   "%u orphaned shm segment(s)\n",
+                   gc.descriptors, gc.segments);
+    }
   }
-  if (!shm.valid()) {
-    std::fprintf(stderr, "teeperf_record: shm_open(%s, %zu bytes) failed\n",
-                 shm_name.c_str(), bytes);
+
+  // The session itself — shm log "/teeperf.<pid>.<nonce>.log", telemetry
+  // region, registry descriptor, counter, watchdog, calibration and dump —
+  // is one Recorder, the same owner in-process sessions use. Its probes run
+  // in the child, which adopts the log by name, so only the host half is
+  // attached here.
+  RecorderOptions ropts;
+  ropts.max_entries = max_entries;
+  ropts.shards = static_cast<i32>(shards);
+  ropts.counter_mode = mode;
+  ropts.counter_replicas = static_cast<u32>(counter_replicas);
+  ropts.start_active = active;
+  ropts.ring_buffer = ring;
+  ropts.spill_drain = !spill_dir.empty();
+  ropts.record_calls = calls;
+  ropts.record_returns = returns;
+  ropts.shm_name = "auto";
+  ropts.telemetry = telemetry;
+  ropts.dump_prefix = prefix;
+  std::unique_ptr<Recorder> rec = Recorder::create(ropts);
+  if (!rec) {
+    std::fprintf(stderr, "teeperf_record: cannot create the session log "
+                         "(%llu entries in shared memory)\n",
+                 static_cast<unsigned long long>(max_entries));
     return 1;
   }
-  ProfileLog log;
-  u64 flags = log_flags::kMultithread;
-  if (ring) flags |= log_flags::kRingBuffer;
-  if (!spill_dir.empty()) flags |= log_flags::kSpillDrain;
-  if (active) flags |= log_flags::kActive;
-  if (calls) flags |= log_flags::kRecordCalls;
-  if (returns) flags |= log_flags::kRecordReturns;
-  if (!log.init(shm.data(), bytes, 0, flags, shard_count, replica_count)) {
-    std::fprintf(stderr, "teeperf_record: log init failed\n");
-    return 1;
+  if (telemetry && !rec->telemetry()) {
+    std::fprintf(stderr, "teeperf_record: telemetry shm failed, continuing "
+                         "without\n");
   }
-  log.header()->counter_mode = static_cast<u32>(mode);
+  if (rec->session_name().empty()) {
+    std::fprintf(stderr,
+                 "teeperf_record: cannot publish session descriptor under %s "
+                 "(monitoring tools will not discover this session)\n",
+                 session_registry::registry_dir().c_str());
+  }
+  ProfileLog& log = rec->log();
 
   // Spill-drain mode: the drainer thread runs in this wrapper for the whole
   // session, consuming published windows into "<dir>/<prefix-base>.seg.NNNN"
@@ -314,118 +287,15 @@ int main(int argc, char** argv) {
     dopts.prefix = spill_dir + "/" + base;
     dopts.chunk_entries = spill_chunk_entries;
     drainer = std::make_unique<drain::Drainer>(&log, dopts);
+    drain::Drainer* d = drainer.get();
+    rec->set_drain_sampler([d] {
+      drain::Drainer::Stats st = d->stats();
+      return Recorder::DrainSample{st.lag_entries, st.spilled_bytes,
+                                   st.drained_entries};
+    });
     drainer->start();
   }
-
-  // Self-telemetry region, scraped live by teeperf_stats and written to by
-  // both this wrapper (watchdog gauges, journal) and the child (per-thread
-  // entry counters).
-  std::unique_ptr<obs::SelfTelemetry> telem;
-  if (telemetry) {
-    obs::TelemetryOptions topts;
-    topts.shm_name = shm_base + ".obs";
-    telem = obs::SelfTelemetry::create(topts);
-    if (!telem) {
-      std::fprintf(stderr, "teeperf_record: telemetry shm failed, continuing "
-                           "without\n");
-    } else {
-      // Publishes the region process-wide and bridges external fault arming
-      // (teeperf_stats --arm → "fault.arm.*" gauges → watchdog poll).
-      obs::install(telem.get());
-    }
-  }
-
-  // Announce the session in the on-disk registry so host-side observers
-  // (teeperf_monitord, teeperf_stats --list / <pid>) can discover it
-  // without guessing shm names. Withdrawn at exit; a crashed wrapper's
-  // descriptor is reclaimed by the stale-session GC above.
-  session_registry::SessionDescriptor session_desc;
-  session_desc.name = shm_base.substr(1);  // drop the leading '/'
-  session_desc.pid = static_cast<u64>(getpid());
-  session_desc.log_shm = shm_name;
-  if (telem) session_desc.obs_shm = telem->shm_name();
-  session_desc.prefix = prefix;
-  session_desc.capacity = max_entries;
-  session_desc.shards = log.shard_count();
-  session_desc.start_ns = monotonic_ns();
-  session_desc.pid_start = session_registry::process_start_time(session_desc.pid);
-  if (!session_registry::publish_session(session_dir, session_desc)) {
-    std::fprintf(stderr,
-                 "teeperf_record: cannot publish session descriptor under %s "
-                 "(monitoring tools will not discover this session)\n",
-                 session_dir.c_str());
-  }
-
-  // The software counter runs here, on the host — the measured application
-  // only ever reads the header word. With --counter-replicas the replicated
-  // subsystem replaces the single thread: the elected primary mirrors into
-  // the same header word, so the child's probe path is identical.
-  std::unique_ptr<SoftwareCounter> sw;
-  std::unique_ptr<ReplicatedCounter> replicated;
-  if (mode == CounterMode::kSoftware) {
-    if (log.counter_replica_count() > 0) {
-      replicated = std::make_unique<ReplicatedCounter>(
-          log.header(), log.replica_directory(), log.replica_slot(0));
-      if (telem) {
-        obs::EventJournal* journal = &telem->journal();
-        replicated->set_failover_callback(
-            [journal](u32 from, u32 to, u64) {
-              journal->record(obs::EventType::kCounterFailover, from, to,
-                              "replica");
-            });
-        replicated->set_backjump_callback(
-            [journal](u32, u64 from, u64 to) {
-              journal->record(obs::EventType::kCounterBackjump, to, from,
-                              "replica");
-            });
-      }
-      replicated->start();
-    } else {
-      sw = std::make_unique<SoftwareCounter>(log.header(), /*yield_every=*/4096);
-      sw->start();
-    }
-  }
-
-  std::unique_ptr<obs::Watchdog> watchdog;
-  if (telem) {
-    telem->journal().record(obs::EventType::kAttach,
-                            static_cast<u64>(getpid()), 0, counter);
-    if (active) telem->journal().record(obs::EventType::kActivate);
-    telem->registry().gauge(obs::metric_names::kLogCapacity).set(max_entries);
-    LogHeader* header = log.header();
-    watchdog = std::make_unique<obs::Watchdog>(
-        &telem->registry(), &telem->journal(),
-        [mode, header] { return read_counter(mode, header); }, counter);
-    drain::Drainer* dr = drainer.get();
-    watchdog->watch_log([&log, dr] {
-      obs::LogSample s = sample_log(log);
-      if (dr) {
-        drain::Drainer::Stats st = dr->stats();
-        s.drain_lag = st.lag_entries;
-        s.drain_spilled_bytes = st.spilled_bytes;
-        s.drained_entries = st.drained_entries;
-      }
-      return s;
-    });
-    if (replicated) {
-      ReplicatedCounter* rc = replicated.get();
-      watchdog->watch_replicas([rc] {
-        ReplicatedCounter::Health h = rc->health();
-        obs::ReplicaSample s;
-        s.replicas = h.replicas;
-        s.primary = h.primary;
-        s.failovers = h.failovers;
-        s.backjumps = h.backjumps;
-        s.stalled_replicas = h.stalled_replicas;
-        s.drift_permille = h.drift_permille;
-        return s;
-      });
-      telem->registry()
-          .gauge(obs::metric_names::kCounterReplicas)
-          .set(log.counter_replica_count());
-    }
-    watchdog->start();
-  }
+  rec->attach_host();
 
   pid_t child = fork();
   if (child < 0) {
@@ -433,10 +303,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (child == 0) {
-    setenv("TEEPERF_SHM", shm_name.c_str(), 1);
+    setenv("TEEPERF_SHM", rec->shm_name().c_str(), 1);
     setenv("TEEPERF_COUNTER", counter.c_str(), 1);
     setenv("TEEPERF_SYM", (prefix + ".sym").c_str(), 1);
-    if (telem) setenv("TEEPERF_OBS", telem->shm_name().c_str(), 1);
+    if (rec->telemetry()) {
+      setenv("TEEPERF_OBS", rec->telemetry()->shm_name().c_str(), 1);
+    }
     if (!fault_spec.empty()) {
       setenv("TEEPERF_FAULTS", fault_spec.c_str(), 1);
       setenv("TEEPERF_FAULT_SEED", std::to_string(fault_seed).c_str(), 1);
@@ -449,6 +321,7 @@ int main(int argc, char** argv) {
 
   // Dynamic activation (§II-B): the flags word is atomic in shared memory,
   // so the wrapper can toggle measurement while the application runs.
+  // Recorder::start()/stop() flip it and journal the toggle.
   std::atomic<bool> child_done{false};
   std::thread toggler([&] {
     auto wait_ms = [&](long ms) {
@@ -458,32 +331,13 @@ int main(int argc, char** argv) {
     };
     if (start_after_ms >= 0) {
       wait_ms(start_after_ms);
-      if (!child_done.load(std::memory_order_acquire)) {
-        log.set_active(true);
-        if (telem) telem->journal().record(obs::EventType::kActivate);
-      }
+      if (!child_done.load(std::memory_order_acquire)) rec->start();
     }
     if (stop_after_ms >= 0) {
       wait_ms(stop_after_ms - (start_after_ms > 0 ? start_after_ms : 0));
-      if (!child_done.load(std::memory_order_acquire)) {
-        log.set_active(false);
-        if (telem) telem->journal().record(obs::EventType::kDeactivate);
-      }
+      if (!child_done.load(std::memory_order_acquire)) rec->stop();
     }
   });
-
-  // Watchdog fault injection: freezing the software counter mid-run must
-  // surface as a counter_stall event (the acceptance check for the
-  // counter-health path; see DESIGN.md "Observability").
-  std::thread freezer;
-  if (freeze_counter_after_ms >= 0 && sw) {
-    freezer = std::thread([&] {
-      for (long waited = 0; waited < freeze_counter_after_ms; waited += 10) {
-        usleep(10'000);
-      }
-      sw->stop();
-    });
-  }
 
   int status = 0;
   if (drainer) {
@@ -508,23 +362,11 @@ int main(int argc, char** argv) {
   }
   child_done.store(true, std::memory_order_release);
   toggler.join();
-  if (freezer.joinable()) freezer.join();
   log.header()->pid = static_cast<u64>(child);
 
-  // Measure tick rate before the counter stops, then persist. A replicated
-  // session has been calibrating continuously across the whole run; a plain
-  // session takes a fresh spot measurement, retried because one stalled 2 ms
-  // window must not mark the dump uncalibrated (and must never silently
-  // pretend 1 ns/tick, the old failure mode). 0 = "uncalibrated" downstream.
-  std::optional<double> npt;
-  if (replicated) npt = replicated->calibrated_ns_per_tick();
-  for (int attempt = 0; attempt < 3 && !npt; ++attempt) {
-    npt = counter_ns_per_tick(mode, log.header());
-  }
-  log.header()->ns_per_tick = npt.value_or(0.0);
-  if (sw) sw->stop();
-  if (replicated) replicated->stop();
-  log.set_active(false);
+  // Detach calibrates ticks→ns while the counter still runs, then stops it
+  // and the watchdog.
+  rec->detach();
   if (drainer) {
     // Writers are gone: drain every remaining published window to chunks.
     // Unpublished residue (a writer killed between reserve and publish)
@@ -533,43 +375,15 @@ int main(int argc, char** argv) {
     drainer->final_drain();
   }
 
-  u64 tail = log.attempted();
-  u64 n = log.size();
-  // Sharded or wrapped logs persist in compact form (windows packed
-  // back-to-back, ring order normalized) so offline loaders see plain order
-  // with no gaps, written straight out of the shm windows.
-  if (!log.write_dump(prefix + ".log")) {
+  // The compact .log plus the .health / .events.jsonl sidecars that
+  // teeperf_analyze folds into its report. The child wrote .sym itself.
+  if (!rec->dump(prefix)) {
     std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
                  prefix.c_str());
     return 1;
   }
-
-  // Telemetry teardown: final health snapshot + event journal become sidecar
-  // files next to the log, which teeperf_analyze folds into its report.
-  if (telem) {
-    obs::MetricsRegistry& reg = telem->registry();
-    if (u64 torn = log.count_torn_tail()) {
-      reg.gauge(obs::metric_names::kLogTornTail).set(torn);
-      telem->journal().record(obs::EventType::kTornTail, torn, tail);
-    }
-    if (watchdog) watchdog->stop();
-    // Both layouts keep their drop counters in shared memory (v1's moved
-    // into a reserved header word), so the child's drops are visible here
-    // directly — no reconstruction from the tail.
-    telem->journal().record(obs::EventType::kDetach, n, log.dropped());
-    if (!write_file(prefix + ".health",
-                    obs::health_text(reg, telem->journal()))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.health failed\n",
-                   prefix.c_str());
-    }
-    if (!write_file(prefix + ".events.jsonl",
-                    obs::events_jsonl(telem->journal()))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.events.jsonl failed\n",
-                   prefix.c_str());
-    }
-    obs::uninstall(telem.get());
-  }
-  session_registry::unpublish_session(session_dir, session_desc.name);
+  u64 tail = log.attempted();
+  u64 n = log.size();
 
   if (drainer) {
     drain::Drainer::Stats st = drainer->stats();
@@ -590,7 +404,7 @@ int main(int argc, char** argv) {
                file_exists(prefix + ".sym") ? (" + " + prefix + ".sym").c_str()
                                             : " (no .sym — did the app link "
                                               "teeperf_core?)",
-               telem ? " + .health + .events.jsonl" : "");
+               rec->telemetry() ? " + .health + .events.jsonl" : "");
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   return 1;
 }
